@@ -201,22 +201,6 @@ def _check_same_algebra(m1: LinMap, m2: LinMap) -> None:
         raise ValueError("algebra mismatch between maps")
 
 
-def apply_map(m: LinMap, b: np.ndarray) -> np.ndarray:
-    return m.apply(b)
-
-
-def compose_maps(m1: LinMap, m2: LinMap) -> LinMap:
-    return m1.compose(m2)
-
-
-def add_maps(m1: LinMap, m2: LinMap) -> LinMap:
-    return m1 + m2
-
-
-def scale_map(m: LinMap, t: complex) -> LinMap:
-    return m.scale(t)
-
-
 def flip_map(d: int = 2) -> LinMap:
     """b -> sum_i e_{i,i+1} b e_{i+1,i} + h.c.; for d=2 the coordinate flip
     on the diagonal subalgebra (XbX with X = e_12 + e_21)."""

@@ -15,11 +15,12 @@ import numpy as np
 from .algebra import Algebra, LinMap, flip_map, matrix_to_json
 from .jacobi import (
     DegreeCapError,
+    bernoulli,
     fock_moment,
-    free_poisson,
     moment,
     params_from_json,
     poisson_limit_check,
+    semicircular,
     word_from_json,
 )
 from .joint import (
@@ -235,8 +236,8 @@ def _suite_counterexample() -> list[dict]:
     algd = Algebra("diagonal", 2)
     bflip = free_convolve_moments(
         JointModel(
-            _bernoulli(algd, flip_map()),
-            _bernoulli(algd, LinMap.identity(algd)),
+            bernoulli(algd, algd.zero(), algd.zero(), flip_map()),
+            bernoulli(algd, algd.zero(), algd.zero(), LinMap.identity(algd)),
         ),
         4,
     )
@@ -252,8 +253,6 @@ def _suite_counterexample() -> list[dict]:
     alg2 = Algebra("full", 2)
     k1 = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))]
     k2 = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))]
-    from .jacobi import semicircular
-
     s1 = semicircular(alg2, LinMap.from_kraus(alg2, k1))
     s2 = semicircular(alg2, LinMap.from_kraus(alg2, k2))
     res2 = verify_jacobi_consistency(free_convolve_moments(JointModel(s1, s2), 4))
@@ -265,18 +264,6 @@ def _suite_counterexample() -> list[dict]:
         }
     )
     return checks
-
-
-def _bernoulli(algebra: Algebra, alpha: LinMap):
-    from .jacobi import JacobiParams
-
-    return JacobiParams(
-        algebra,
-        (algebra.zero(), algebra.zero()),
-        (alpha,),
-        algebra.zero(),
-        LinMap.zero(algebra),
-    )
 
 
 def _suite_two_by_two() -> list[dict]:
@@ -354,7 +341,6 @@ def cmd_verify(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ncfree")
-    ap.add_argument("--pretty", action="store_true", help="indent JSON output")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--pretty", action="store_true", help="indent JSON output")
     sub = ap.add_subparsers(dest="subcommand", required=True)

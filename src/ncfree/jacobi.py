@@ -12,10 +12,10 @@ oracle for the first.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import comb
-from typing import Callable, Optional, Sequence
+from itertools import product
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -29,22 +29,32 @@ from .algebra import (
     linmap_from_json,
     linmap_to_json,
     matrix_from_json,
-    matrix_to_json,
-    unit_matrix,
     unvec,
     vec,
 )
-from .partitions import Partition12, enumerate_nc12
+from .partitions import BLUE, ColoredPartition, enumerate_nc12, relative_depths
+from .scalar import free_binomial_closed as free_binomial_moment
 
 DEFAULT_DEGREE_CAP = 16
 
 
 def degree_cap() -> int:
-    return int(os.environ.get("NCFREE_DEGREE_CAP", DEFAULT_DEGREE_CAP))
+    raw = os.environ.get("NCFREE_DEGREE_CAP", DEFAULT_DEGREE_CAP)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"NCFREE_DEGREE_CAP must be an integer, got {raw!r}") from None
 
 
 class DegreeCapError(ValueError):
     """Raised when a requested moment degree exceeds the configured cap."""
+
+
+def check_degree(n: int, cap: Optional[int] = None) -> None:
+    """Raise DegreeCapError if degree n exceeds `cap` (default: degree_cap())."""
+    cap = degree_cap() if cap is None else cap
+    if n > cap:
+        raise DegreeCapError(f"degree {n} exceeds cap {cap}")
 
 
 @dataclass(frozen=True)
@@ -59,13 +69,15 @@ class JacobiParams:
     positive: bool = False
 
     def __post_init__(self):
-        d = self.algebra.dim
+        alg = self.algebra
         for lam in (*self.head_lambda, self.tail_lambda):
-            if np.asarray(lam).shape != (d, d):
+            if not alg.contains(np.asarray(lam)):
                 raise ValueError("lambda entries must live in the algebra")
         for a in (*self.head_alpha, self.tail_alpha):
-            if a.algebra != self.algebra:
+            if a.algebra != alg:
                 raise ValueError("alpha maps must act on the same algebra")
+            if not all(alg.contains(a(e)) for e in alg.basis()):
+                raise ValueError("alpha maps must send the algebra into itself")
         if self.positive:
             for lam in (*self.head_lambda, self.tail_lambda):
                 if not is_self_adjoint(np.asarray(lam)):
@@ -87,16 +99,6 @@ class JacobiParams:
         if i <= len(self.head_alpha):
             return self.head_alpha[i - 1]
         return self.tail_alpha
-
-    @property
-    def depth(self) -> Optional[int]:
-        """k such that alpha_k = alpha_{k+1} = ... = 0, or None if untruncated."""
-        if self.tail_alpha.norm() > 1e-14:
-            return None
-        k = len(self.head_alpha) + 1
-        while k > 1 and self.alpha(k - 1).norm() <= 1e-14:
-            k -= 1
-        return k
 
     def isclose(self, other: "JacobiParams", atol: float = 1e-9, upto: int = 12) -> bool:
         if self.algebra != other.algebra:
@@ -140,50 +142,61 @@ def scalar_jacobi(
 
 def evaluate_partition(
     coeffs: Sequence[np.ndarray],
-    blocks: Sequence[tuple[int, ...]],
-    lam_of: Callable[[tuple[int, ...]], np.ndarray],
-    alpha_of: Callable[[tuple[int, ...]], LinMap],
+    p: ColoredPartition,
+    params: Mapping[str, JacobiParams],
 ) -> np.ndarray:
     """Insert a lambda per singleton and apply an alpha across each pair.
 
-    `coeffs` is b_0..b_n; `blocks` partitions the X positions {1..n}.  The
-    caller supplies the parameter for each block (depth indexing happens
-    there), so the same evaluator serves one- and two-color sums.
+    `coeffs` is b_0..b_n and `p` partitions the X positions {1..n}.  Each
+    block draws its parameters from `params[color]` at its reset depth,
+    which is the absolute depth when all blocks share one color.
     """
     n = len(coeffs) - 1
-    at_min = {blk[0]: blk for blk in blocks}
+    at_min = {
+        blk[0]: (blk, params[c], k)
+        for blk, c, k in zip(p.base.blocks, p.color, relative_depths(p))
+    }
 
     def ev(lo: int, hi: int) -> np.ndarray:
         out = coeffs[lo]
         pos = lo + 1
         while pos <= hi:
-            blk = at_min[pos]
+            blk, par, k = at_min[pos]
             if len(blk) == 1:
-                out = out @ lam_of(blk) @ coeffs[pos]
+                out = out @ par.lam(k) @ coeffs[pos]
                 pos += 1
             else:
                 q = blk[1]
                 inner = ev(pos, q - 1)
-                out = out @ alpha_of(blk)(inner) @ coeffs[q]
+                out = out @ par.alpha(k)(inner) @ coeffs[q]
                 pos = q + 1
         return out
 
     return ev(0, n)
 
 
-def t_pi(params: JacobiParams, coeffs: Sequence[np.ndarray], p: Partition12) -> np.ndarray:
-    """One-color partition term: index of lambda/alpha is the block depth."""
-    pairs = p.pairs
-    depth = {
-        blk: 1 + sum(1 for (a, b) in pairs if a < blk[0] and blk[-1] < b)
-        for blk in p.blocks
-    }
-    return evaluate_partition(
-        coeffs,
-        p.blocks,
-        lambda blk: params.lam(depth[blk]),
-        lambda blk: params.alpha(depth[blk]),
+def nc_sum(
+    coeffs: Sequence[np.ndarray],
+    colors: Sequence[Sequence[str]],
+    params: Mapping[str, JacobiParams],
+) -> np.ndarray:
+    """Sum of evaluate_partition over NC_{1,2}(n) and every block coloring
+    allowed at both ends of each block; colors[i-1] lists the colors allowed
+    at position i.
+
+    When every parameter set has vanishing lambdas through degree n,
+    singleton blocks contribute nothing and the sum runs over pairings only.
+    """
+    n = len(coeffs) - 1
+    pairs_only = all(
+        np.max(np.abs(par.lam(i))) <= 1e-14 for par in params.values() for i in range(1, n + 1)
     )
+    total = np.zeros_like(coeffs[0])
+    for p in enumerate_nc12(n, pairs_only=pairs_only):
+        choices = [[c for c in colors[blk[0] - 1] if c in colors[blk[-1] - 1]] for blk in p.blocks]
+        for coloring in product(*choices):
+            total = total + evaluate_partition(coeffs, ColoredPartition(p, coloring), params)
+    return total
 
 
 def moment(
@@ -191,18 +204,12 @@ def moment(
     coeffs: Sequence[np.ndarray],
     cap: Optional[int] = None,
 ) -> np.ndarray:
-    """mu[b_0 X b_1 ... X b_n] as the sum of T_pi over NC_{1,2}(n)."""
+    """mu[b_0 X b_1 ... X b_n] as the sum over NC_{1,2}(n), each block
+    drawing its parameters at its depth."""
     coeffs = [np.asarray(c, dtype=complex) for c in coeffs]
     n = len(coeffs) - 1
-    cap = degree_cap() if cap is None else cap
-    if n > cap:
-        raise DegreeCapError(f"degree {n} exceeds cap {cap}")
-    if n == 0:
-        return coeffs[0]
-    total = params.algebra.zero()
-    for p in enumerate_nc12(n):
-        total = total + t_pi(params, coeffs, p)
-    return total
+    check_degree(n, cap)
+    return nc_sum(coeffs, [(BLUE,)] * n, {BLUE: params})
 
 
 def moment_sequence(params: JacobiParams, b: np.ndarray, degree: int) -> list[np.ndarray]:
@@ -240,13 +247,9 @@ def fock_moment(
     """
     coeffs = [np.asarray(c, dtype=complex) for c in coeffs]
     n = len(coeffs) - 1
-    cap = degree_cap() if cap is None else cap
-    if n > cap:
-        raise DegreeCapError(f"degree {n} exceeds cap {cap}")
+    check_degree(n, cap)
     d = params.algebra.dim
     D = d * d
-    if n == 0:
-        return coeffs[0]
 
     eye_d = np.eye(d)
     vec_unit = vec(params.algebra.unit())
@@ -563,28 +566,6 @@ def meixner_convolve(p1: JacobiParams, p2: JacobiParams, atol: float = 1e-9) -> 
 # ---------------------------------------------------------------------------
 
 
-def free_binomial_moment(n: int, t):
-    """m_n(t) for the free convolution power of a centered Bernoulli law.
-
-    Exact when t is an int or Fraction.
-    """
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    exact = isinstance(t, (int, Fraction))
-    tt = Fraction(t) if exact else float(t)
-    if n == 0:
-        return tt ** 0
-    acc = tt ** (2 * n)
-    half = Fraction(1, 2) if exact else 0.5
-    for k in range(1, n + 1):
-        term = comb(2 * k, k) * (tt - 1) ** k * tt ** (2 * (n - k))
-        if exact:
-            acc -= tt * half * Fraction(term, 2 * k - 1)
-        else:
-            acc -= tt * half * term / (2 * k - 1)
-    return acc
-
-
 def free_binomial_word_moment(
     a: np.ndarray,
     coeffs: Sequence[np.ndarray],
@@ -685,4 +666,6 @@ def word_from_json(obj) -> tuple[Algebra, list[np.ndarray]]:
     coeffs = [matrix_from_json(e["entries"]) for e in obj["coeffs"]]
     if not coeffs:
         raise ValueError("a word needs at least one coefficient")
+    if not all(alg.contains(c) for c in coeffs):
+        raise ValueError("word coefficients must live in the algebra")
     return alg, coeffs

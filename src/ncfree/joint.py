@@ -21,11 +21,12 @@ from .algebra import Algebra, LinMap, algebra_from_json, algebra_to_json, elemen
 from .jacobi import (
     DegreeCapError,
     JacobiParams,
-    degree_cap,
+    check_degree,
     evaluate_partition,
     moment,
+    nc_sum,
 )
-from .partitions import BLUE, RED, ColoredPartition, Partition12, enumerate_nc12, relative_depths
+from .partitions import BLUE, RED, ColoredPartition
 
 
 @dataclass(frozen=True)
@@ -46,6 +47,10 @@ class JointModel:
     def marginal(self, color: str) -> JacobiParams:
         return self.params1 if color == BLUE else self.params2
 
+    @property
+    def by_color(self) -> dict[str, JacobiParams]:
+        return {BLUE: self.params1, RED: self.params2}
+
 
 @dataclass(frozen=True)
 class ColoredWord:
@@ -60,10 +65,8 @@ class ColoredWord:
             raise ValueError("need one more coefficient than symbols")
         if any(c not in (BLUE, RED) for c in self.colors):
             raise ValueError("colors must be 'b' or 'r'")
-        d = self.algebra.dim
-        for c in self.coeffs:
-            if np.asarray(c).shape != (d, d):
-                raise ValueError("coefficients must live in the algebra")
+        if not all(self.algebra.contains(np.asarray(c)) for c in self.coeffs):
+            raise ValueError("coefficients must live in the algebra")
 
     @property
     def degree(self) -> int:
@@ -85,61 +88,14 @@ def e_pi(model: JointModel, w: ColoredWord, p: ColoredPartition) -> np.ndarray:
         for i in blk:
             if w.colors[i - 1] != c:
                 raise ValueError(f"partition color at position {i} disagrees with the word")
-    depth = dict(zip(p.base.blocks, relative_depths(p)))
-    color = dict(zip(p.base.blocks, p.color))
-    return evaluate_partition(
-        w.coeffs,
-        p.base.blocks,
-        lambda blk: model.marginal(color[blk]).lam(depth[blk]),
-        lambda blk: model.marginal(color[blk]).alpha(depth[blk]),
-    )
-
-
-def _compatible_coloring(p: Partition12, colors: tuple[str, ...]) -> Optional[ColoredPartition]:
-    """Color p's blocks by the word colors, or None if a pair straddles colors."""
-    out = []
-    for blk in p.blocks:
-        cs = {colors[i - 1] for i in blk}
-        if len(cs) != 1:
-            return None
-        out.append(cs.pop())
-    return ColoredPartition(p, tuple(out))
-
-
-def _zero_lambdas(params: JacobiParams, upto: int, atol: float = 1e-14) -> bool:
-    return all(np.max(np.abs(params.lam(i))) <= atol for i in range(1, upto + 1))
-
-
-def _e_pi_colored(model: JointModel, coeffs: Sequence[np.ndarray], cp: ColoredPartition) -> np.ndarray:
-    depth = dict(zip(cp.base.blocks, relative_depths(cp)))
-    color = dict(zip(cp.base.blocks, cp.color))
-    return evaluate_partition(
-        coeffs,
-        cp.base.blocks,
-        lambda blk: model.marginal(color[blk]).lam(depth[blk]),
-        lambda blk: model.marginal(color[blk]).alpha(depth[blk]),
-    )
+    return evaluate_partition(w.coeffs, p, model.by_color)
 
 
 def joint_moment(model: JointModel, w: ColoredWord, cap: Optional[int] = None) -> np.ndarray:
     """Sum of E_pi over the two-color non-crossing partitions whose coloring
-    matches the word's color sequence.
-
-    When both marginals have vanishing lambdas through the word's degree,
-    singleton blocks contribute nothing and the sum runs over pairings only.
-    """
-    cap = degree_cap() if cap is None else cap
-    if w.degree > cap:
-        raise DegreeCapError(f"degree {w.degree} exceeds cap {cap}")
-    if w.degree == 0:
-        return w.coeffs[0]
-    pairs_only = _zero_lambdas(model.params1, w.degree) and _zero_lambdas(model.params2, w.degree)
-    total = model.algebra.zero()
-    for p in enumerate_nc12(w.degree, pairs_only=pairs_only):
-        cp = _compatible_coloring(p, w.colors)
-        if cp is not None:
-            total = total + _e_pi_colored(model, w.coeffs, cp)
-    return total
+    matches the word's color sequence."""
+    check_degree(w.degree, cap)
+    return nc_sum(w.coeffs, [(c,) for c in w.colors], model.by_color)
 
 
 # ---------------------------------------------------------------------------
@@ -172,15 +128,13 @@ def joint_moment_free_recursion(model: JointModel, w: ColoredWord, cap: Optional
     and each replacement strictly lowers the degree, so the recursion closes
     with single-color words handled by `moment`.
     """
-    cap = degree_cap() if cap is None else cap
-    if w.degree > cap:
-        raise DegreeCapError(f"degree {w.degree} exceeds cap {cap}")
+    check_degree(w.degree, cap)
     alg = model.algebra
     one = alg.unit()
     memo: dict = {}
 
     def key(coeffs, colors):
-        return colors, b"".join(np.round(np.asarray(c), 12).tobytes() for c in coeffs)
+        return colors, b"".join(np.asarray(c).tobytes() for c in coeffs)
 
     def marginal_of_run(color, coeffs):
         # coeffs are the interior b_p..b_{q-1}; the run reads X b_p X ... b_{q-1} X
@@ -255,24 +209,14 @@ def free_convolve_word(model: JointModel, coeffs: Sequence[np.ndarray], cap: Opt
     """mu1 boxplus mu2 evaluated at one word: the sum of joint moments over
     all 2^n color sequences (the expansion of (X_1 + X_2)^n), regrouped as a
     single enumeration of colored non-crossing partitions."""
-    n = len(coeffs) - 1
-    cap = degree_cap() if cap is None else cap
-    if n > cap:
-        raise DegreeCapError(f"degree {n} exceeds cap {cap}")
     coeffs = [np.asarray(c, dtype=complex) for c in coeffs]
-    if n == 0:
-        return coeffs[0]
-    pairs_only = _zero_lambdas(model.params1, n) and _zero_lambdas(model.params2, n)
-    total = model.algebra.zero()
-    for p in enumerate_nc12(n, pairs_only=pairs_only):
-        for coloring in product((BLUE, RED), repeat=len(p.blocks)):
-            total = total + _e_pi_colored(model, coeffs, ColoredPartition(p, coloring))
-    return total
+    n = len(coeffs) - 1
+    check_degree(n, cap)
+    return nc_sum(coeffs, [(BLUE, RED)] * n, model.by_color)
 
 
 def free_convolve_moments(model: JointModel, degree: int) -> MomentTable:
-    if degree > degree_cap():
-        raise DegreeCapError(f"degree {degree} exceeds cap {degree_cap()}")
+    check_degree(degree)
     return MomentTable(model.algebra, degree, lambda coeffs: free_convolve_word(model, coeffs, cap=degree))
 
 

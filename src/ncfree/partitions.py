@@ -104,34 +104,21 @@ def enumerate_nc12(n: int, pairs_only: bool = False) -> Iterator[Partition12]:
 def block_depths(p: Partition12 | ColoredPartition) -> tuple[int, ...]:
     """Absolute depth per block: 1 + number of pair blocks strictly covering it."""
     base = p.base if isinstance(p, ColoredPartition) else p
-    pairs = base.pairs
-    out = []
-    for blk in base.blocks:
-        lo, hi = blk[0], blk[-1]
-        out.append(1 + sum(1 for (a, b) in pairs if a < lo and hi < b))
-    return tuple(out)
+    return relative_depths(ColoredPartition(base, (BLUE,) * len(base.blocks)))
 
 
 def relative_depths(p: ColoredPartition) -> tuple[int, ...]:
     """Per-block depth with the two-color reset rule: count same-color pair
     covers walking outward, stopping at the first opposite-color cover."""
-    base = p.base
-    pair_colors = [
-        (blk[0], blk[1], c)
-        for blk, c in zip(base.blocks, p.color)
-        if len(blk) == 2
-    ]
     out = []
-    for blk, c in zip(base.blocks, p.color):
-        lo, hi = blk[0], blk[-1]
-        covers = [(a, b, cc) for (a, b, cc) in pair_colors if a < lo and hi < b]
-        covers.sort(key=lambda t: -t[0])  # innermost first
-        depth = 1
-        for _, _, cc in covers:
-            if cc != c:
-                break
-            depth += 1
+    stack = []  # (closer, color, depth) of the pairs covering the current block, innermost last
+    for blk, c in zip(p.base.blocks, p.color):
+        while stack and stack[-1][0] < blk[0]:
+            stack.pop()
+        depth = stack[-1][2] + 1 if stack and stack[-1][1] == c else 1
         out.append(depth)
+        if len(blk) == 2:
+            stack.append((blk[1], c, depth))
     return tuple(out)
 
 

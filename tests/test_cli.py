@@ -136,6 +136,14 @@ def test_moments_degree_cap_exit(tmp_path, capsys, monkeypatch):
     assert main(["moments", "--params", pf, "--word", wf]) == 3
 
 
+def test_non_integer_degree_cap_is_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("NCFREE_DEGREE_CAP", "abc")
+    pf = semicircular_file(tmp_path)
+    wf = unit_word_file(tmp_path, 2)
+    assert main(["moments", "--params", pf, "--word", wf]) == 2
+    assert "NCFREE_DEGREE_CAP" in capsys.readouterr().err
+
+
 def test_bad_json_is_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -160,6 +168,13 @@ def test_verify_suites(suite, capsys):
     assert main(["verify", "--suite", suite]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["pass"] is True
+
+
+def test_pretty_before_subcommand_is_usage_error(capsys):
+    # --pretty belongs to each subcommand; the root parser rejects it
+    with pytest.raises(SystemExit) as exc:
+        main(["--pretty", "verify", "--suite", "table"])
+    assert exc.value.code == 2
 
 
 def test_verify_all(capsys):

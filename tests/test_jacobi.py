@@ -37,6 +37,8 @@ from ncfree.jacobi import (
     strip,
     truncate,
     two_point,
+    word_from_json,
+    word_to_json,
 )
 from ncfree.scalar import moments_to_cumulants
 
@@ -449,6 +451,34 @@ def test_degree_cap_env(monkeypatch):
     monkeypatch.delenv("NCFREE_DEGREE_CAP")
     with pytest.raises(DegreeCapError):
         moment(p, [ONE1] * 18)
+
+
+def test_degree_cap_env_must_be_integer(monkeypatch):
+    monkeypatch.setenv("NCFREE_DEGREE_CAP", "3.5")
+    with pytest.raises(ValueError, match="NCFREE_DEGREE_CAP"):
+        moment(scalar_jacobi(tail_alpha=1.0), [ONE1] * 3)
+
+
+ALGD = Algebra("diagonal", 2)
+OFF_DIAGONAL = unit_matrix(2, 0, 1) + unit_matrix(2, 1, 0)
+
+
+def test_params_reject_lambda_outside_algebra():
+    with pytest.raises(ValueError, match="lambda"):
+        JacobiParams(ALGD, (OFF_DIAGONAL,), (), ALGD.zero(), LinMap.zero(ALGD), positive=True)
+
+
+def test_params_reject_alpha_leaving_algebra():
+    # b -> A b A* with A = [[1, 1], [0, 1]] sends e_22 to a full matrix
+    mixing = LinMap.from_kraus(ALGD, [np.array([[1, 1], [0, 1]])])
+    with pytest.raises(ValueError, match="alpha"):
+        JacobiParams(ALGD, (), (mixing,), ALGD.zero(), LinMap.zero(ALGD))
+
+
+def test_word_from_json_rejects_coefficient_outside_algebra():
+    obj = json.loads(json.dumps(word_to_json(ALGD, [np.eye(2), OFF_DIAGONAL])))
+    with pytest.raises(ValueError, match="algebra"):
+        word_from_json(obj)
 
 
 def test_params_json_roundtrip():

@@ -99,6 +99,13 @@ def test_fair_bernoulli_colorings():
     assert np.isclose(blk[0, 0].real, 1.0)
 
 
+def test_colored_word_rejects_coefficient_outside_algebra():
+    algd = Algebra("diagonal", 2)
+    off = np.array([[0, 1], [1, 0]], dtype=complex)
+    with pytest.raises(ValueError, match="algebra"):
+        colored_word(algd, [np.eye(2), off], [BLUE])
+
+
 def test_e_pi_interval_and_nested_summands():
     # word b0 X b1 X b2 Y b3 Y b4 with partition summands evaluated directly
     p1, p2 = rand_params(), rand_params()
@@ -145,6 +152,16 @@ def test_partition_sum_matches_freeness_recursion():
                 a = joint_moment(model, w)
                 b = joint_moment_free_recursion(model, w)
                 assert np.allclose(a, b, atol=1e-9), (alg.dim, colors)
+
+
+def test_free_recursion_keeps_nearby_words_apart():
+    # sub-words whose coefficients differ only below 1e-12 must not share a memo entry
+    p = scalar_jacobi(head_lambda=(1.0,), tail_lambda=1.0, tail_alpha=1.0)
+    model = JointModel(p, p)
+    w = colored_word(ALG1, [c * ONE1 for c in (1e-13, 3e-13, 1, 1, 1)], [BLUE, RED, BLUE, RED])
+    expected = joint_moment(model, w)
+    assert np.isclose(expected[0, 0].real, 9e-26, rtol=1e-9)
+    assert np.allclose(joint_moment_free_recursion(model, w), expected, rtol=1e-9, atol=0)
 
 
 def test_monochromatic_reduces_to_marginal():
@@ -233,6 +250,31 @@ def test_convolve_with_point_mass_shifts():
         assert np.allclose(
             free_convolve_word(model, cs), moment(shifted, cs), atol=1e-9
         )
+
+
+@pytest.mark.parametrize("kind", ["full", "diagonal"])
+def test_free_convolution_is_sum_over_color_sequences(kind):
+    # (X_1 + X_2)^n expanded: one joint moment per color sequence
+    alg = Algebra(kind, 2)
+    into = (lambda m: np.diag(np.diag(m))) if kind == "diagonal" else (lambda m: m)
+
+    def elem():
+        return into(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+
+    def b_params():
+        def cp():
+            return LinMap.from_kraus(alg, [elem(), elem()])
+
+        return JacobiParams(alg, (into(rand_sa()), into(rand_sa())), (cp(),), into(rand_sa()), cp())
+
+    model = JointModel(b_params(), b_params())
+    for n in range(6):
+        cs = [elem() for _ in range(n + 1)]
+        expected = sum(
+            joint_moment(model, colored_word(alg, cs, colors)) for colors in product((BLUE, RED), repeat=n)
+        )
+        got = free_convolve_word(model, cs)
+        assert np.max(np.abs(got - expected)) <= 1e-10 * max(1.0, np.max(np.abs(expected))), (kind, n)
 
 
 def test_moment_table_interface():
