@@ -5,6 +5,9 @@ complex ndarrays), linear self-maps, and amplifications.
 Linear maps are stored canonically as a d^2 x d^2 dense matrix acting on
 the column-major vectorization; a Kraus list may be attached.  Complete
 positivity of the dense form is tested via the Choi matrix.
+
+Every numerical verdict in the package goes through one relative rule,
+`negligible`, with the single tolerance `TOL`.
 """
 
 from __future__ import annotations
@@ -14,9 +17,15 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-ATOL = 1e-12
-RTOL = 1e-9
-PSD_TOL = 1e-9
+TOL = 1e-8  # about sqrt(machine epsilon): half the float64 digits
+
+
+def negligible(x, *scale) -> bool:
+    """No entry of `x` exceeds TOL times the largest entry of the `scale`
+    operands, the inputs that produced `x`; `a` and `b` are close when
+    negligible(a - b, a, b).  Against a zero scale only zero is negligible."""
+    sizes = [np.max(np.abs(v), initial=0.0) for v in scale]
+    return bool(np.max(np.abs(x), initial=0.0) <= TOL * max(sizes, default=0.0))
 
 
 @dataclass(frozen=True)
@@ -45,13 +54,10 @@ class Algebra:
             return [unit_matrix(d, i, i) for i in range(d)]
         return [unit_matrix(d, i, j) for i in range(d) for j in range(d)]
 
-    def contains(self, mat: np.ndarray, atol: float = ATOL) -> bool:
+    def contains(self, mat: np.ndarray) -> bool:
         if mat.shape != (self.dim, self.dim):
             return False
-        if self.kind == "diagonal":
-            off = mat - np.diag(np.diag(mat))
-            return bool(np.max(np.abs(off)) <= atol) if off.size else True
-        return True
+        return self.kind == "full" or negligible(_off_diagonal(mat), mat)
 
 
 def unit_matrix(d: int, i: int, j: int) -> np.ndarray:
@@ -60,9 +66,17 @@ def unit_matrix(d: int, i: int, j: int) -> np.ndarray:
     return m
 
 
-def is_self_adjoint(mat: np.ndarray, atol: float = ATOL, rtol: float = RTOL) -> bool:
-    scale = max(1.0, float(np.max(np.abs(mat))))
-    return bool(np.max(np.abs(mat - mat.conj().T)) <= atol + rtol * scale)
+def _off_diagonal(mat: np.ndarray) -> np.ndarray:
+    return mat - np.diag(np.diag(mat))
+
+
+def is_self_adjoint(mat: np.ndarray) -> bool:
+    return negligible(mat - mat.conj().T, mat)
+
+
+def _is_psd(mat: np.ndarray) -> bool:
+    h = (mat + mat.conj().T) / 2
+    return is_self_adjoint(mat) and negligible(np.minimum(np.linalg.eigvalsh(h), 0), mat)
 
 
 def vec(mat: np.ndarray) -> np.ndarray:
@@ -174,26 +188,20 @@ class LinMap:
                 c[i * d : (i + 1) * d, j * d : (j + 1) * d] += self.apply(unit_matrix(d, i, j))
         return c
 
-    def is_cp(self, tol: float = PSD_TOL) -> bool:
-        if self.kraus is not None:
-            return True
-        c = self.choi()
-        if np.max(np.abs(c - c.conj().T)) > 1e-8 * max(1.0, float(np.max(np.abs(c)))):
-            return False
-        return bool(np.min(np.linalg.eigvalsh((c + c.conj().T) / 2)) >= -tol)
+    def is_cp(self) -> bool:
+        return self.kraus is not None or _is_psd(self.choi())
 
-    def preserves_diagonal(self, atol: float = ATOL) -> bool:
-        d = self.algebra.dim
-        diag = Algebra("diagonal", d)
-        return all(diag.contains(self.apply(e), atol) for e in diag.basis())
+    def preserves_diagonal(self) -> bool:
+        """Off-diagonal parts of the images of the diagonal units are
+        negligible against the map itself."""
+        units = Algebra("diagonal", self.algebra.dim).basis()
+        return negligible([_off_diagonal(self.apply(e)) for e in units], self.dense)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.dense, 2))
 
-    def isclose(self, other: "LinMap", atol: float = 1e-9) -> bool:
-        return self.algebra == other.algebra and bool(
-            np.max(np.abs(self.dense - other.dense)) <= atol
-        )
+    def isclose(self, other: "LinMap") -> bool:
+        return self.algebra == other.algebra and negligible(self.dense - other.dense, self.dense, other.dense)
 
 
 def _check_same_algebra(m1: LinMap, m2: LinMap) -> None:
@@ -252,16 +260,12 @@ def amplify_map(m: LinMap, d_outer: int) -> LinMap:
     return LinMap.from_action(big, action)
 
 
-def gram_psd_check(grid: Sequence[Sequence[np.ndarray]], tol: float = PSD_TOL) -> bool:
+def gram_psd_check(grid: Sequence[Sequence[np.ndarray]]) -> bool:
     """Assemble the block matrix [g_ij] and test positive semidefiniteness."""
     n = len(grid)
     if any(len(row) != n for row in grid):
         raise ValueError("grid must be square")
-    big = np.block([[np.asarray(g, dtype=complex) for g in row] for row in grid])
-    h = (big + big.conj().T) / 2
-    if np.max(np.abs(big - h)) > 1e-7 * max(1.0, float(np.max(np.abs(big)))):
-        return False
-    return bool(np.min(np.linalg.eigvalsh(h)) >= -tol)
+    return _is_psd(np.block([[np.asarray(g, dtype=complex) for g in row] for row in grid]))
 
 
 # ---------------------------------------------------------------------------

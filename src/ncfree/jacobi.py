@@ -29,6 +29,7 @@ from .algebra import (
     linmap_from_json,
     linmap_to_json,
     matrix_from_json,
+    negligible,
     unvec,
     vec,
 )
@@ -76,7 +77,7 @@ class JacobiParams:
         for a in (*self.head_alpha, self.tail_alpha):
             if a.algebra != alg:
                 raise ValueError("alpha maps must act on the same algebra")
-            if not all(alg.contains(a(e)) for e in alg.basis()):
+            if alg.kind == "diagonal" and not a.preserves_diagonal():
                 raise ValueError("alpha maps must send the algebra into itself")
         if self.positive:
             for lam in (*self.head_lambda, self.tail_lambda):
@@ -100,14 +101,16 @@ class JacobiParams:
             return self.head_alpha[i - 1]
         return self.tail_alpha
 
-    def isclose(self, other: "JacobiParams", atol: float = 1e-9, upto: int = 12) -> bool:
+    def isclose(self, other: "JacobiParams") -> bool:
+        """Same sequences through the first level past both heads, lambdas
+        judged against the lambdas of both sets and alphas against the alphas."""
         if self.algebra != other.algebra:
             return False
-        return all(
-            np.max(np.abs(self.lam(i) - other.lam(i))) <= atol
-            and self.alpha(i).isclose(other.alpha(i), atol)
-            for i in range(1, upto + 1)
-        )
+        heads = (self.head_lambda, self.head_alpha, other.head_lambda, other.head_alpha)
+        levels = range(1, max(map(len, heads)) + 2)
+        lams = [[p.lam(i) for i in levels] for p in (self, other)]
+        alphas = [[p.alpha(i).dense for i in levels] for p in (self, other)]
+        return negligible(np.subtract(*lams), *lams) and negligible(np.subtract(*alphas), *alphas)
 
 
 def scalar_jacobi(
@@ -184,13 +187,11 @@ def nc_sum(
     allowed at both ends of each block; colors[i-1] lists the colors allowed
     at position i.
 
-    When every parameter set has vanishing lambdas through degree n,
-    singleton blocks contribute nothing and the sum runs over pairings only.
+    When every lambda through degree n is exactly zero, singleton blocks
+    contribute nothing and the sum runs over pairings only.
     """
     n = len(coeffs) - 1
-    pairs_only = all(
-        np.max(np.abs(par.lam(i))) <= 1e-14 for par in params.values() for i in range(1, n + 1)
-    )
+    pairs_only = not any(np.any(par.lam(i)) for par in params.values() for i in range(1, n + 1))
     total = np.zeros_like(coeffs[0])
     for p in enumerate_nc12(n, pairs_only=pairs_only):
         choices = [[c for c in colors[blk[0] - 1] if c in colors[blk[-1] - 1]] for blk in p.blocks]
@@ -381,7 +382,7 @@ def cf_approximant(params: JacobiParams, k: int, b: np.ndarray) -> np.ndarray:
     s = one
     for i in range(k, 0, -1):
         a = one - params.lam(i) @ b - params.alpha(i)(b @ s) @ b
-        if abs(np.linalg.det(a)) < 1e-300 or np.linalg.cond(a) > 1e14:
+        if np.linalg.cond(a) * np.finfo(float).eps >= 1:  # singular to working precision
             raise SingularResolventError(i)
         s = np.linalg.inv(a)
     return s
@@ -527,36 +528,28 @@ def make_named(family: str, algebra: Algebra, **kwargs) -> JacobiParams:
 # ---------------------------------------------------------------------------
 
 
-def meixner_recognize(
-    params: JacobiParams, atol: float = 1e-9, upto: int = 12
-) -> Optional[tuple[np.ndarray, LinMap, LinMap]]:
+def meixner_recognize(params: JacobiParams) -> Optional[tuple[np.ndarray, LinMap, LinMap]]:
     """Match the canonical layout J(0, lam, lam, ...; eta, eta+alpha, ...)
     and return (lam, alpha, eta), or None."""
-    if np.max(np.abs(params.lam(1))) > atol:
+    lam, eta = params.lam(2), params.alpha(1)
+    alpha = params.alpha(2) - eta
+    if not params.isclose(meixner(params.algebra, lam, alpha, eta)):
         return None
-    lam = params.lam(2)
-    eta = params.alpha(1)
-    a2 = params.alpha(2)
-    for i in range(3, upto + 1):
-        if np.max(np.abs(params.lam(i) - lam)) > atol:
-            return None
-        if not params.alpha(i).isclose(a2, atol):
-            return None
-    return lam, a2 - eta, eta
+    return lam, alpha, eta
 
 
-def meixner_convolve(p1: JacobiParams, p2: JacobiParams, atol: float = 1e-9) -> JacobiParams:
+def meixner_convolve(p1: JacobiParams, p2: JacobiParams) -> JacobiParams:
     """Free convolution inside the Meixner family: fM(l,a;e1) +> fM(l,a;e2)
     = fM(l,a;e1+e2)."""
     if p1.algebra != p2.algebra:
         raise ValueError("algebra mismatch")
-    r1 = meixner_recognize(p1, atol)
-    r2 = meixner_recognize(p2, atol)
+    r1, r2 = meixner_recognize(p1), meixner_recognize(p2)
     if r1 is None or r2 is None:
         raise ValueError("inputs are not in the canonical free Meixner layout")
-    lam1, alpha1, eta1 = r1
-    lam2, alpha2, eta2 = r2
-    if np.max(np.abs(lam1 - lam2)) > atol or not alpha1.isclose(alpha2, atol):
+    (lam1, alpha1, eta1), (lam2, alpha2, eta2) = r1, r2
+    # each alpha is a difference of the alpha maps, so those set its scale
+    alphas = [p.alpha(i).dense for p in (p1, p2) for i in (1, 2)]
+    if not (negligible(lam1 - lam2, lam1, lam2) and negligible(alpha1.dense - alpha2.dense, *alphas)):
         raise ValueError("Meixner inputs have mismatched (lambda, alpha)")
     return meixner(p1.algebra, lam1, alpha1, eta1 + eta2)
 
@@ -572,17 +565,16 @@ def free_binomial_word_moment(
     t: float,
     expectation: Callable[[np.ndarray], np.ndarray],
     algebra: Algebra,
-    atol: float = 1e-9,
 ) -> np.ndarray:
     """Moment of the t-th free power of the law of a: m_{n/2}(t) b_0 a b_1 ... a b_n.
 
     Requires E[a] = 0 and a B a inside B for the supplied model.
     """
     a = np.asarray(a, dtype=complex)
-    if np.max(np.abs(expectation(a))) > atol:
+    if not negligible(expectation(a), a):
         raise ValueError("model requires E[a] = 0")
     for e in algebra.basis():
-        if not algebra.contains(a @ e @ a, atol):
+        if not algebra.contains(a @ e @ a):
             raise ValueError("model requires a B a inside B")
     coeffs = [np.asarray(c, dtype=complex) for c in coeffs]
     n = len(coeffs) - 1

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .algebra import Algebra, LinMap, algebra_from_json, algebra_to_json, element_to_json, matrix_from_json
+from .algebra import Algebra, LinMap, algebra_from_json, algebra_to_json, element_to_json, matrix_from_json, negligible
 from .jacobi import (
     DegreeCapError,
     JacobiParams,
@@ -199,10 +199,10 @@ class MomentTable:
             raise DegreeCapError(f"table holds moments through degree {self.degree}")
         return self.fn(coeffs)
 
-    def sequence(self, b: np.ndarray, upto: Optional[int] = None) -> list[np.ndarray]:
-        upto = self.degree if upto is None else upto
+    def sequence(self, b: np.ndarray, degree: Optional[int] = None) -> list[np.ndarray]:
+        degree = self.degree if degree is None else degree
         one = self.algebra.unit()
-        return [self([one] + [b] * n) for n in range(upto + 1)]
+        return [self([one] + [b] * n) for n in range(degree + 1)]
 
 
 def free_convolve_word(model: JointModel, coeffs: Sequence[np.ndarray], cap: Optional[int] = None) -> np.ndarray:
@@ -229,7 +229,7 @@ def params_moment_table(params: JacobiParams, degree: int) -> MomentTable:
 # ---------------------------------------------------------------------------
 
 
-def verify_jacobi_consistency(table: MomentTable, atol: float = 1e-8) -> dict:
+def verify_jacobi_consistency(table: MomentTable) -> dict:
     """Decide whether a symmetric moment table fits a Jacobi-Szego law at
     degree 4.
 
@@ -237,7 +237,8 @@ def verify_jacobi_consistency(table: MomentTable, atol: float = 1e-8) -> dict:
         mu[X b1 X b2 X b3 X] = beta_1(b1 beta_2(b2) b3) + beta_1(b1) b2 beta_1(b3)
     which is linear in the unknown map beta_2; we solve it in least squares
     over the algebra basis and report either the solved parameters or a
-    coefficient triple witnessing infeasibility.
+    coefficient triple witnessing infeasibility.  Odd moments are judged
+    against powers of the degree-2 moments, the residual against its terms.
     """
     alg = table.algebra
     one = alg.unit()
@@ -245,13 +246,11 @@ def verify_jacobi_consistency(table: MomentTable, atol: float = 1e-8) -> dict:
     m = len(basis)
     d = alg.dim
 
-    if np.max(np.abs(table([one, one]))) > atol:
-        raise ValueError("consistency test requires a symmetric (odd moments zero) table")
-    for bi, bj in product(basis, repeat=2):
-        if np.max(np.abs(table([one, bi, bj, one]))) > atol:
-            raise ValueError("consistency test requires a symmetric (odd moments zero) table")
-
     beta1 = LinMap.from_action(alg, lambda b: table([one, b, one]))
+    second = np.abs(beta1.dense)
+    third = [table([one, bi, bj, one]) for bi, bj in product(basis, repeat=2)]
+    if not (negligible(table([one, one]), np.sqrt(second)) and negligible(third, second**1.5)):
+        raise ValueError("consistency test requires a symmetric (odd moments zero) table")
 
     # rows: one matrix equation per basis triple; unknowns x[c, j] with
     # beta_2(basis[j]) = sum_c x[c, j] basis[c]
@@ -259,11 +258,12 @@ def verify_jacobi_consistency(table: MomentTable, atol: float = 1e-8) -> dict:
     rows_l = []
     triples = list(product(range(m), repeat=3))
     lhs_by_triple = {}
+    terms = []
     for (i, j, k) in triples:
-        lhs = (
-            table([one, basis[i], basis[j], basis[k], one])
-            - beta1(basis[i]) @ basis[j] @ beta1(basis[k])
-        )
+        fourth = table([one, basis[i], basis[j], basis[k], one])
+        known = beta1(basis[i]) @ basis[j] @ beta1(basis[k])
+        terms += [fourth, known]
+        lhs = fourth - known
         lhs_by_triple[(i, j, k)] = lhs
         a_row = np.zeros((d * d, m * m), dtype=complex)
         for c in range(m):
@@ -276,7 +276,7 @@ def verify_jacobi_consistency(table: MomentTable, atol: float = 1e-8) -> dict:
     residuals = big_a @ x - big_l
     worst = float(np.max(np.abs(residuals)))
 
-    if worst <= atol:
+    if negligible(residuals, *terms):
         coeff = x.reshape(m, m)
 
         def beta2_action(b):
@@ -365,12 +365,11 @@ def two_by_two_model_check(lam: float, gam: float, terms: int = 40) -> dict:
         u, v = np.diag(target_diag)
         x, y = u, v
         for _ in range(200):
-            x_new = u + 1 / y
-            y_new = v + 1 / x
-            if abs(x_new - x) + abs(y_new - y) < 1e-14:
-                x, y = x_new, y_new
-                break
+            x_new, y_new = u + 1 / y, v + 1 / x
+            step = abs(x_new - x) + abs(y_new - y)
             x, y = x_new, y_new
+            if step <= np.finfo(float).eps * (abs(x) + abs(y)):
+                break
         return np.diag([x, y]).astype(complex)
 
     f_inv_mu = f_mu_inverse(big)

@@ -185,9 +185,6 @@ def odd_compositions(p: int, q: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-FAMILIES = ("NC12", "NC2", "NC12^k", "TCNC12", "TCNC2", "TCNC^{k,l}")
-
-
 def count_family(family: str, n: int, k: Optional[int] = None, l: Optional[int] = None) -> int:
     """Exact size of a partition family, by enumeration."""
     if family == "NC12":

@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .algebra import negligible
 from .partitions import enumerate_nc12, odd_compositions
 
 
@@ -55,13 +56,14 @@ class AtomicMeasure:
     def __post_init__(self):
         if len(self.atoms) != len(self.weights):
             raise ValueError("atoms and weights must pair up")
-        if abs(sum(self.weights) - 1.0) > 1e-12:
+        total = sum(self.weights)
+        if not negligible(total - 1, total, 1):
             raise ValueError("weights must sum to 1")
-        if any(w < -1e-12 for w in self.weights):
+        if not negligible(np.minimum(self.weights, 0), self.weights):
             raise ValueError("weights must be nonnegative")
 
     def cauchy(self, z: complex) -> complex:
-        if min(abs(z - x) for x in self.atoms) < 1e-6:
+        if any(negligible(z - x, z, x) for x in self.atoms):
             raise ValueError("evaluation point too close to the spectrum")
         return sum(a / (z - x) for x, a in zip(self.atoms, self.weights))
 
@@ -99,24 +101,24 @@ def tridiagonal_moment(k: int, n: int) -> int:
     return col[0]
 
 
-def nu_moments(k: int, upto: int) -> list[int]:
-    """Exact integer moments of nu_k through degree `upto` (tridiagonal route)."""
-    return [tridiagonal_moment(k, n) for n in range(upto + 1)]
+def nu_moments(k: int, degree: int) -> list[int]:
+    """Exact integer moments of nu_k through `degree` (tridiagonal route)."""
+    return [tridiagonal_moment(k, n) for n in range(degree + 1)]
 
 
-def _poly_series_div(num: list[Fraction], den: list[Fraction], upto: int) -> list[Fraction]:
-    """Power-series quotient num/den through order `upto` (den[0] != 0)."""
-    num = num + [Fraction(0)] * (upto + 1 - len(num))
-    den = den + [Fraction(0)] * (upto + 1 - len(den))
+def _poly_series_div(num: list[Fraction], den: list[Fraction], degree: int) -> list[Fraction]:
+    """Power-series quotient num/den through order `degree` (den[0] != 0)."""
+    num = num + [Fraction(0)] * (degree + 1 - len(num))
+    den = den + [Fraction(0)] * (degree + 1 - len(den))
     inv0 = Fraction(1) / den[0]
     out: list[Fraction] = []
-    for n in range(upto + 1):
+    for n in range(degree + 1):
         acc = num[n] - sum(den[j] * out[n - j] for j in range(1, n + 1))
         out.append(acc * inv0)
     return out
 
 
-def chebyshev_ratio_moments(k: int, upto: int) -> list[Fraction]:
+def chebyshev_ratio_moments(k: int, degree: int) -> list[Fraction]:
     """Moments of nu_k read off the expansion of U_{k-1}/U_k at infinity.
 
     With w = 1/z, U_{k-1}(z)/U_k(z) = w * a(w)/b(w) where a, b are the
@@ -127,7 +129,7 @@ def chebyshev_ratio_moments(k: int, upto: int) -> list[Fraction]:
     # reversed: a(w) = w^{k-1} U_{k-1}(1/w), b(w) = w^k U_k(1/w)
     a = [Fraction(c) for c in reversed(ck1)]
     b = [Fraction(c) for c in reversed(ck)]
-    return _poly_series_div(a, b, upto)
+    return _poly_series_div(a, b, degree)
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +137,8 @@ def chebyshev_ratio_moments(k: int, upto: int) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 
 
-def _conv(a: Sequence, b: Sequence, upto: int) -> list:
-    return [sum(a[j] * b[n - j] for j in range(n + 1)) for n in range(upto + 1)]
+def _conv(a: Sequence, b: Sequence, degree: int) -> list:
+    return [sum(a[j] * b[n - j] for j in range(n + 1)) for n in range(degree + 1)]
 
 
 def moments_to_cumulants(m: Sequence) -> list:
@@ -173,12 +175,12 @@ def cumulants_to_moments(kappa: Sequence) -> list:
     return m
 
 
-def free_convolve_scalar(m1: Sequence, m2: Sequence, upto: int) -> list:
+def free_convolve_scalar(m1: Sequence, m2: Sequence, degree: int) -> list:
     """Moments of the free convolution: add free cumulants, convert back."""
-    if len(m1) <= upto or len(m2) <= upto:
+    if len(m1) <= degree or len(m2) <= degree:
         raise ValueError("need moments through the requested degree")
-    k1 = moments_to_cumulants(list(m1[: upto + 1]))
-    k2 = moments_to_cumulants(list(m2[: upto + 1]))
+    k1 = moments_to_cumulants(list(m1[: degree + 1]))
+    k2 = moments_to_cumulants(list(m2[: degree + 1]))
     return cumulants_to_moments([a + b for a, b in zip(k1, k2)])
 
 
@@ -347,15 +349,15 @@ def free_binomial_closed(n: int, t) -> Fraction:
     return acc
 
 
-def free_binomial_series(t, upto: int) -> list[Fraction]:
+def free_binomial_series(t, degree: int) -> list[Fraction]:
     """Coefficients of (t - 2 - t*sqrt(1 - 4(t-1)z^2)) / (2(t^2 z^2 - 1))
     about z = 0, exact; odd coefficients vanish."""
     t = Fraction(t)
     if t < 1:
         raise ValueError("t must be >= 1")
-    if upto > 40:
+    if degree > 40:
         raise ValueError("series degree limited to 40")
-    n_half = upto // 2 + 1
+    n_half = degree // 2 + 1
     # sqrt(1+u) = sum binom(1/2, j) u^j with u = -4(t-1) z^2
     sqrt_even = []
     coeff = Fraction(1)
@@ -367,7 +369,7 @@ def free_binomial_series(t, upto: int) -> list[Fraction]:
     inv_den = [-Fraction(1, 2) * t ** (2 * i) for i in range(n_half)]
     even = _conv(numer, inv_den, n_half - 1)
     out = []
-    for d in range(upto + 1):
+    for d in range(degree + 1):
         out.append(even[d // 2] if d % 2 == 0 else Fraction(0))
     return out
 

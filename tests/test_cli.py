@@ -61,6 +61,14 @@ def test_count_tcnc2_recursion_single(capsys):
     assert capsys.readouterr().out.strip() == "1"
 
 
+def test_count_all_methods_skip_recursion_below_depth_two(capsys):
+    rc = main(["count", "--family", "TCNC2", "--n", "4", "--k", "1", "--l", "1", "--method", "all"])
+    assert rc == 0
+    assert capsys.readouterr().out.split() == ["0", "0"]
+    rc = main(["count", "--family", "TCNC2", "--n", "4", "--k", "1", "--l", "1", "--method", "recursion"])
+    assert rc == 2
+
+
 def test_count_usage_errors(capsys):
     assert main(["count", "--family", "TCNC2", "--n", "4"]) == 2
     assert main(["count", "--family", "TCNC2", "--n", "4", "--k", "2", "--l", "3", "--method", "recursion"]) == 2

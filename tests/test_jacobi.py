@@ -9,6 +9,7 @@ from ncfree.algebra import Algebra, LinMap, gram_psd_check, unit_matrix
 from ncfree.jacobi import (
     DegreeCapError,
     JacobiParams,
+    SingularResolventError,
     arcsine,
     bernoulli,
     boolean_power,
@@ -180,6 +181,13 @@ def test_cf_numeric_cauchy_in_k():
     nonzero = [d for d in diffs if d > 1e-16]
     for a, c in zip(nonzero, nonzero[1:]):
         assert c <= 0.25 * a
+
+
+def test_cf_singular_resolvent_names_its_level():
+    # alpha = b = 1 with lambda = 0: the level-1 resolvent is 1 - b^2 = 0
+    with pytest.raises(SingularResolventError) as exc:
+        cf_approximant(scalar_jacobi(tail_alpha=1.0), 1, [[1]])
+    assert exc.value.level == 1
 
 
 def test_cf_semicircular_catalan():
