@@ -14,7 +14,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import product
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -33,27 +32,23 @@ from .algebra import (
     unvec,
     vec,
 )
-from .partitions import BLUE, ColoredPartition, enumerate_nc12, relative_depths
+from .partitions import BLUE, ColoredPartition, colorings, enumerate_nc12, relative_depths
 from .scalar import free_binomial_closed as free_binomial_moment
 
 DEFAULT_DEGREE_CAP = 16
-
-
-def degree_cap() -> int:
-    raw = os.environ.get("NCFREE_DEGREE_CAP", DEFAULT_DEGREE_CAP)
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"NCFREE_DEGREE_CAP must be an integer, got {raw!r}") from None
 
 
 class DegreeCapError(ValueError):
     """Raised when a requested moment degree exceeds the configured cap."""
 
 
-def check_degree(n: int, cap: Optional[int] = None) -> None:
-    """Raise DegreeCapError if degree n exceeds `cap` (default: degree_cap())."""
-    cap = degree_cap() if cap is None else cap
+def check_degree(n: int) -> None:
+    """Raise DegreeCapError if degree n exceeds NCFREE_DEGREE_CAP (default 16)."""
+    raw = os.environ.get("NCFREE_DEGREE_CAP", DEFAULT_DEGREE_CAP)
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ValueError(f"NCFREE_DEGREE_CAP must be an integer, got {raw!r}") from None
     if n > cap:
         raise DegreeCapError(f"degree {n} exceeds cap {cap}")
 
@@ -178,6 +173,14 @@ def evaluate_partition(
     return ev(0, n)
 
 
+def _checked_coeffs(algebra: Algebra, coeffs: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """The coefficients b_0..b_n as complex arrays, each checked to live in the algebra."""
+    coeffs = [np.asarray(c, dtype=complex) for c in coeffs]
+    if not all(algebra.contains(c) for c in coeffs):
+        raise ValueError("coefficients must live in the algebra")
+    return coeffs
+
+
 def nc_sum(
     coeffs: Sequence[np.ndarray],
     colors: Sequence[Sequence[str]],
@@ -185,32 +188,27 @@ def nc_sum(
 ) -> np.ndarray:
     """Sum of evaluate_partition over NC_{1,2}(n) and every block coloring
     allowed at both ends of each block; colors[i-1] lists the colors allowed
-    at position i.
+    at position i.  The entry of every partition-sum engine: it checks the
+    degree against the cap and the coefficients against the algebra.
 
     When every lambda through degree n is exactly zero, singleton blocks
     contribute nothing and the sum runs over pairings only.
     """
     n = len(coeffs) - 1
+    check_degree(n)
+    coeffs = _checked_coeffs(next(iter(params.values())).algebra, coeffs)
     pairs_only = not any(np.any(par.lam(i)) for par in params.values() for i in range(1, n + 1))
     total = np.zeros_like(coeffs[0])
     for p in enumerate_nc12(n, pairs_only=pairs_only):
-        choices = [[c for c in colors[blk[0] - 1] if c in colors[blk[-1] - 1]] for blk in p.blocks]
-        for coloring in product(*choices):
-            total = total + evaluate_partition(coeffs, ColoredPartition(p, coloring), params)
+        for cp in colorings(p, colors):
+            total = total + evaluate_partition(coeffs, cp, params)
     return total
 
 
-def moment(
-    params: JacobiParams,
-    coeffs: Sequence[np.ndarray],
-    cap: Optional[int] = None,
-) -> np.ndarray:
+def moment(params: JacobiParams, coeffs: Sequence[np.ndarray]) -> np.ndarray:
     """mu[b_0 X b_1 ... X b_n] as the sum over NC_{1,2}(n), each block
     drawing its parameters at its depth."""
-    coeffs = [np.asarray(c, dtype=complex) for c in coeffs]
-    n = len(coeffs) - 1
-    check_degree(n, cap)
-    return nc_sum(coeffs, [(BLUE,)] * n, {BLUE: params})
+    return nc_sum(coeffs, [(BLUE,)] * (len(coeffs) - 1), {BLUE: params})
 
 
 def moment_sequence(params: JacobiParams, b: np.ndarray, degree: int) -> list[np.ndarray]:
@@ -218,7 +216,7 @@ def moment_sequence(params: JacobiParams, b: np.ndarray, degree: int) -> list[np
     one = params.algebra.unit()
     out = [one]
     for n in range(1, degree + 1):
-        out.append(moment(params, [one] + [b] * n, cap=max(degree, degree_cap())))
+        out.append(moment(params, [one] + [b] * n))
     return out
 
 
@@ -234,11 +232,7 @@ def scalar_moments(params: JacobiParams, degree: int) -> list[complex]:
 # ---------------------------------------------------------------------------
 
 
-def fock_moment(
-    params: JacobiParams,
-    coeffs: Sequence[np.ndarray],
-    cap: Optional[int] = None,
-) -> np.ndarray:
+def fock_moment(params: JacobiParams, coeffs: Sequence[np.ndarray]) -> np.ndarray:
     """<1, b_0 x b_1 x ... x b_n 1> with x = a* + p + a on the bimodule of
     elementary tensors; degree-n vectors are stored as flat arrays over the
     (n+1)-fold tensor basis of vectorized algebra elements.
@@ -246,9 +240,9 @@ def fock_moment(
     Independent of the partition sum: the ladder operators are applied
     symbolically and the degree-0 component is read off at the end.
     """
-    coeffs = [np.asarray(c, dtype=complex) for c in coeffs]
     n = len(coeffs) - 1
-    check_degree(n, cap)
+    check_degree(n)
+    coeffs = _checked_coeffs(params.algebra, coeffs)
     d = params.algebra.dim
     D = d * d
 
@@ -600,10 +594,8 @@ def poisson_limit_params(N: int, lam1: float, lam: float, alpha: float) -> Jacob
     alg = Algebra("full", 1)
     one = np.eye(1, dtype=complex)
     a_over_n = LinMap.from_dense(alg, (alpha / N) * one)
-    # the centered block, in Meixner layout: fM(lam, -alpha/N; alpha/N)
-    block = meixner(alg, lam * one, a_over_n.scale(-1), a_over_n)
+    # the centered block is fM(lam, -alpha/N; alpha/N); N of them add their etas
     convolved = meixner(alg, lam * one, a_over_n.scale(-1), a_over_n.scale(N))
-    assert meixner_recognize(block) is not None
     return shift_by_delta(convolved, lam1 * one)
 
 
@@ -658,6 +650,4 @@ def word_from_json(obj) -> tuple[Algebra, list[np.ndarray]]:
     coeffs = [matrix_from_json(e["entries"]) for e in obj["coeffs"]]
     if not coeffs:
         raise ValueError("a word needs at least one coefficient")
-    if not all(alg.contains(c) for c in coeffs):
-        raise ValueError("word coefficients must live in the algebra")
-    return alg, coeffs
+    return alg, _checked_coeffs(alg, coeffs)

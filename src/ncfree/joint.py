@@ -44,9 +44,6 @@ class JointModel:
     def algebra(self) -> Algebra:
         return self.params1.algebra
 
-    def marginal(self, color: str) -> JacobiParams:
-        return self.params1 if color == BLUE else self.params2
-
     @property
     def by_color(self) -> dict[str, JacobiParams]:
         return {BLUE: self.params1, RED: self.params2}
@@ -91,10 +88,9 @@ def e_pi(model: JointModel, w: ColoredWord, p: ColoredPartition) -> np.ndarray:
     return evaluate_partition(w.coeffs, p, model.by_color)
 
 
-def joint_moment(model: JointModel, w: ColoredWord, cap: Optional[int] = None) -> np.ndarray:
+def joint_moment(model: JointModel, w: ColoredWord) -> np.ndarray:
     """Sum of E_pi over the two-color non-crossing partitions whose coloring
     matches the word's color sequence."""
-    check_degree(w.degree, cap)
     return nc_sum(w.coeffs, [(c,) for c in w.colors], model.by_color)
 
 
@@ -115,7 +111,7 @@ def _runs(colors: tuple[str, ...]) -> list[tuple[str, int, int]]:
     return runs
 
 
-def joint_moment_free_recursion(model: JointModel, w: ColoredWord, cap: Optional[int] = None) -> np.ndarray:
+def joint_moment_free_recursion(model: JointModel, w: ColoredWord) -> np.ndarray:
     """Compute the joint moment from the marginal engines alone.
 
     Split the word into maximal monochromatic factors P_1 ... P_m.  Expanding
@@ -128,7 +124,7 @@ def joint_moment_free_recursion(model: JointModel, w: ColoredWord, cap: Optional
     and each replacement strictly lowers the degree, so the recursion closes
     with single-color words handled by `moment`.
     """
-    check_degree(w.degree, cap)
+    check_degree(w.degree)
     alg = model.algebra
     one = alg.unit()
     memo: dict = {}
@@ -138,7 +134,7 @@ def joint_moment_free_recursion(model: JointModel, w: ColoredWord, cap: Optional
 
     def marginal_of_run(color, coeffs):
         # coeffs are the interior b_p..b_{q-1}; the run reads X b_p X ... b_{q-1} X
-        return moment(model.marginal(color), [one, *coeffs, one], cap=cap)
+        return moment(model.by_color[color], [one, *coeffs, one])
 
     def rec(coeffs: tuple, colors: tuple) -> np.ndarray:
         if not colors:
@@ -205,23 +201,20 @@ class MomentTable:
         return [self([one] + [b] * n) for n in range(degree + 1)]
 
 
-def free_convolve_word(model: JointModel, coeffs: Sequence[np.ndarray], cap: Optional[int] = None) -> np.ndarray:
+def free_convolve_word(model: JointModel, coeffs: Sequence[np.ndarray]) -> np.ndarray:
     """mu1 boxplus mu2 evaluated at one word: the sum of joint moments over
     all 2^n color sequences (the expansion of (X_1 + X_2)^n), regrouped as a
     single enumeration of colored non-crossing partitions."""
-    coeffs = [np.asarray(c, dtype=complex) for c in coeffs]
-    n = len(coeffs) - 1
-    check_degree(n, cap)
-    return nc_sum(coeffs, [(BLUE, RED)] * n, model.by_color)
+    return nc_sum(coeffs, [(BLUE, RED)] * (len(coeffs) - 1), model.by_color)
 
 
 def free_convolve_moments(model: JointModel, degree: int) -> MomentTable:
     check_degree(degree)
-    return MomentTable(model.algebra, degree, lambda coeffs: free_convolve_word(model, coeffs, cap=degree))
+    return MomentTable(model.algebra, degree, lambda coeffs: free_convolve_word(model, coeffs))
 
 
 def params_moment_table(params: JacobiParams, degree: int) -> MomentTable:
-    return MomentTable(params.algebra, degree, lambda coeffs: moment(params, coeffs, cap=degree))
+    return MomentTable(params.algebra, degree, lambda coeffs: moment(params, coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +239,8 @@ def verify_jacobi_consistency(table: MomentTable) -> dict:
     m = len(basis)
     d = alg.dim
 
-    beta1 = LinMap.from_action(alg, lambda b: table([one, b, one]))
+    # the units of M_d outside B (off-diagonal ones, for D_d) get zero columns
+    beta1 = LinMap.from_action(alg, lambda b: table([one, b, one]) if alg.contains(b) else alg.zero())
     second = np.abs(beta1.dense)
     third = [table([one, bi, bj, one]) for bi, bj in product(basis, repeat=2)]
     if not (negligible(table([one, one]), np.sqrt(second)) and negligible(third, second**1.5)):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 BLUE = "b"
 RED = "r"
@@ -98,7 +98,15 @@ def enumerate_nc12(n: int, pairs_only: bool = False) -> Iterator[Partition12]:
     if pairs_only and n % 2:
         return
     for blocks in _nc12_blocks(tuple(range(1, n + 1)), pairs_only):
-        yield Partition12(n, tuple(sorted(blocks, key=lambda b: b[0])))
+        yield Partition12(n, tuple(blocks))
+
+
+def colorings(p: Partition12, colors: Sequence[Sequence[str]]) -> Iterator[ColoredPartition]:
+    """Every coloring of p's blocks in which each block takes a color allowed
+    at both of its ends; colors[i-1] lists the colors allowed at position i."""
+    choices = [[c for c in colors[blk[0] - 1] if c in colors[blk[-1] - 1]] for blk in p.blocks]
+    for coloring in itertools.product(*choices):
+        yield ColoredPartition(p, coloring)
 
 
 def block_depths(p: Partition12 | ColoredPartition) -> tuple[int, ...]:
@@ -127,22 +135,14 @@ def enumerate_nc12_depth(n: int, k: int, pairs_only: bool = False) -> Iterator[P
     if k < 1:
         raise ValueError("k must be >= 1")
     for p in enumerate_nc12(n, pairs_only):
-        depths = block_depths(p)
-        if all(
-            d < k for blk, d in zip(p.blocks, depths) if len(blk) == 2
-        ):
+        if tcnc_depth_ok(ColoredPartition(p, (BLUE,) * len(p.blocks)), k, k):
             yield p
-
-
-def _colorings(p: Partition12) -> Iterator[ColoredPartition]:
-    for colors in itertools.product((BLUE, RED), repeat=len(p.blocks)):
-        yield ColoredPartition(p, colors)
 
 
 def enumerate_tcnc(n: int, pairs_only: bool = False) -> Iterator[ColoredPartition]:
     """Yield TCNC_{1,2}(n) (or TCNC_2(n) if pairs_only)."""
     for p in enumerate_nc12(n, pairs_only):
-        yield from _colorings(p)
+        yield from colorings(p, [(BLUE, RED)] * n)
 
 
 def tcnc_depth_ok(cp: ColoredPartition, k: int, l: int) -> bool:
@@ -187,20 +187,16 @@ def odd_compositions(p: int, q: int) -> Iterator[tuple[int, ...]]:
 
 def count_family(family: str, n: int, k: Optional[int] = None, l: Optional[int] = None) -> int:
     """Exact size of a partition family, by enumeration."""
-    if family == "NC12":
-        return sum(1 for _ in enumerate_nc12(n))
-    if family == "NC2":
-        return sum(1 for _ in enumerate_nc12(n, pairs_only=True))
-    if family == "NC12^k":
-        return sum(1 for _ in enumerate_nc12_depth(n, k))
-    if family == "NC2^k":
-        return sum(1 for _ in enumerate_nc12_depth(n, k, pairs_only=True))
-    if family == "TCNC12":
-        return sum(1 for _ in enumerate_tcnc(n))
-    if family == "TCNC2":
-        return sum(1 for _ in enumerate_tcnc(n, pairs_only=True))
-    if family == "TCNC^{k,l}":
-        return sum(1 for _ in enumerate_tcnc_depth(n, k, l))
-    if family == "TCNC2^{k,l}":
-        return sum(1 for _ in enumerate_tcnc_depth(n, k, l, pairs_only=True))
-    raise ValueError(f"unknown family {family!r}")
+    families = {
+        "NC12": lambda: enumerate_nc12(n),
+        "NC2": lambda: enumerate_nc12(n, pairs_only=True),
+        "NC12^k": lambda: enumerate_nc12_depth(n, k),
+        "NC2^k": lambda: enumerate_nc12_depth(n, k, pairs_only=True),
+        "TCNC12": lambda: enumerate_tcnc(n),
+        "TCNC2": lambda: enumerate_tcnc(n, pairs_only=True),
+        "TCNC^{k,l}": lambda: enumerate_tcnc_depth(n, k, l),
+        "TCNC2^{k,l}": lambda: enumerate_tcnc_depth(n, k, l, pairs_only=True),
+    }
+    if family not in families:
+        raise ValueError(f"unknown family {family!r}")
+    return sum(1 for _ in families[family]())

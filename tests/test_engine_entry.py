@@ -1,0 +1,126 @@
+"""The partition-sum engine entry, `jacobi.nc_sum`: one degree guard, one
+membership check, and agreement with the independent routes."""
+
+from itertools import product
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ncfree.algebra import Algebra, LinMap, flip_map
+from ncfree.jacobi import (
+    DegreeCapError,
+    JacobiParams,
+    fock_moment,
+    moment,
+    moment_sequence,
+    semicircular,
+)
+from ncfree.joint import (
+    JointModel,
+    colored_word,
+    free_convolve_word,
+    joint_moment,
+    joint_moment_free_recursion,
+    params_moment_table,
+)
+from ncfree.partitions import BLUE, RED
+
+
+def rand_element(rng, alg):
+    d = alg.dim
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return np.diag(np.diag(a)) if alg.kind == "diagonal" else a
+
+
+def rand_params(rng, alg, head):
+    def kraus():
+        return LinMap.from_kraus(alg, [rand_element(rng, alg) for _ in range(2)])
+
+    def lam():
+        a = rand_element(rng, alg)
+        return a + a.conj().T
+
+    return JacobiParams(alg, tuple(lam() for _ in range(head)), tuple(kraus() for _ in range(head)), lam(), kraus())
+
+
+def assert_close(got, want):
+    assert np.max(np.abs(got - want)) <= 1e-8 * max(1.0, float(np.max(np.abs(want))))
+
+
+# -- the degree guard ------------------------------------------------------------
+
+ONE1 = np.eye(1, dtype=complex)
+ALG1 = Algebra("full", 1)
+SEMI1 = semicircular(ALG1, LinMap.identity(ALG1))
+MODEL1 = JointModel(SEMI1, SEMI1)
+ENTRIES = {
+    "moment": lambda n: moment(SEMI1, [ONE1] * (n + 1)),
+    "fock_moment": lambda n: fock_moment(SEMI1, [ONE1] * (n + 1)),
+    "joint_moment": lambda n: joint_moment(MODEL1, colored_word(ALG1, [ONE1] * (n + 1), [BLUE, RED] * (n // 2))),
+    "joint_moment_free_recursion": lambda n: joint_moment_free_recursion(
+        MODEL1, colored_word(ALG1, [ONE1] * (n + 1), [BLUE, RED] * (n // 2))
+    ),
+    "free_convolve_word": lambda n: free_convolve_word(MODEL1, [ONE1] * (n + 1)),
+    "moment_sequence": lambda n: moment_sequence(SEMI1, ONE1, n),
+    "params_moment_table": lambda n: params_moment_table(SEMI1, n)([ONE1] * (n + 1)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_every_engine_entry_honours_degree_cap(entry, monkeypatch):
+    monkeypatch.setenv("NCFREE_DEGREE_CAP", "4")
+    ENTRIES[entry](4)
+    with pytest.raises(DegreeCapError):
+        ENTRIES[entry](6)
+
+
+# -- coefficients outside B ------------------------------------------------------
+
+ALGD = Algebra("diagonal", 2)
+SEMID = semicircular(ALGD, flip_map())
+
+
+@pytest.mark.parametrize(
+    "engine",
+    [moment, fock_moment, lambda p, cs: free_convolve_word(JointModel(p, p), cs)],
+    ids=["moment", "fock_moment", "free_convolve_word"],
+)
+def test_engines_reject_coefficients_outside_algebra(engine):
+    with pytest.raises(ValueError, match="algebra"):
+        engine(SEMID, [np.ones((2, 2))] * 3)
+    with pytest.raises(ValueError, match="algebra"):
+        engine(SEMID, [np.eye(2), np.ones((2, 2)), np.eye(2)])
+    engine(SEMID, [np.eye(2)] * 3)  # the same word inside B computes
+
+
+# -- one engine, three independent routes ----------------------------------------
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    kind=st.sampled_from(["full", "diagonal"]),
+    d=st.integers(min_value=1, max_value=3),
+    head=st.integers(min_value=0, max_value=2),
+    n=st.integers(min_value=0, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_partition_sum_matches_independent_routes(kind, d, head, n, seed):
+    rng = np.random.default_rng(seed)
+    alg = Algebra(kind, d)
+    model = JointModel(rand_params(rng, alg, head), rand_params(rng, alg, head))
+    coeffs = [rand_element(rng, alg) for _ in range(n + 1)]
+
+    # one color: the partition sum against the Fock space
+    assert_close(moment(model.params1, coeffs), fock_moment(model.params1, coeffs))
+
+    # two colors on a random coloring: the partition sum against the freeness recursion
+    w = colored_word(alg, coeffs, [(BLUE, RED)[i] for i in rng.integers(0, 2, size=n)])
+    assert_close(joint_moment(model, w), joint_moment_free_recursion(model, w))
+
+    # free convolution against the joint moments of every coloring, degree <= 4
+    short = coeffs[:5]
+    colorings = product((BLUE, RED), repeat=len(short) - 1)
+    expected = sum(joint_moment(model, colored_word(alg, short, cs)) for cs in colorings)
+    assert_close(free_convolve_word(model, short), expected)
