@@ -32,7 +32,7 @@ from .algebra import (
     unvec,
     vec,
 )
-from .partitions import BLUE, ColoredPartition, colorings, enumerate_nc12, relative_depths
+from .partitions import BLUE, ColoredPartition, _colored_nc12, relative_depths
 from .scalar import free_binomial_closed as free_binomial_moment
 
 DEFAULT_DEGREE_CAP = 16
@@ -138,43 +138,45 @@ def scalar_jacobi(
 # ---------------------------------------------------------------------------
 
 
+def _evaluate(
+    coeffs: Sequence[np.ndarray], blocks: Sequence[tuple], params: Mapping[str, JacobiParams]
+) -> np.ndarray:
+    """Insert a lambda per singleton and apply an alpha across each pair.
+
+    `coeffs` is b_0..b_n and `blocks` lists (block, color, depth) in canonical
+    order, partitioning the X positions {1..n}; each block draws its
+    parameters from `params[color]` at that depth.
+    """
+    out = coeffs[0]
+    opened = []  # (product before the pair, its alpha, its closer), innermost last
+    for blk, c, k in blocks:
+        while opened and opened[-1][2] < blk[0]:
+            before, alpha, q = opened.pop()
+            out = before @ alpha(out) @ coeffs[q]
+        if len(blk) == 1:
+            out = out @ params[c].lam(k) @ coeffs[blk[0]]
+        else:
+            opened.append((out, params[c].alpha(k), blk[1]))
+            out = coeffs[blk[0]]
+    for before, alpha, q in reversed(opened):
+        out = before @ alpha(out) @ coeffs[q]
+    return out
+
+
 def evaluate_partition(
     coeffs: Sequence[np.ndarray],
     p: ColoredPartition,
     params: Mapping[str, JacobiParams],
 ) -> np.ndarray:
-    """Insert a lambda per singleton and apply an alpha across each pair.
-
-    `coeffs` is b_0..b_n and `p` partitions the X positions {1..n}.  Each
-    block draws its parameters from `params[color]` at its reset depth,
-    which is the absolute depth when all blocks share one color.
-    """
-    n = len(coeffs) - 1
-    at_min = {
-        blk[0]: (blk, params[c], k)
-        for blk, c, k in zip(p.base.blocks, p.color, relative_depths(p))
-    }
-
-    def ev(lo: int, hi: int) -> np.ndarray:
-        out = coeffs[lo]
-        pos = lo + 1
-        while pos <= hi:
-            blk, par, k = at_min[pos]
-            if len(blk) == 1:
-                out = out @ par.lam(k) @ coeffs[pos]
-                pos += 1
-            else:
-                q = blk[1]
-                inner = ev(pos, q - 1)
-                out = out @ par.alpha(k)(inner) @ coeffs[q]
-                pos = q + 1
-        return out
-
-    return ev(0, n)
+    """The term of `p` in the partition sum: each block draws its parameters from
+    `params[color]` at its reset depth (the absolute depth for one color)."""
+    return _evaluate(coeffs, list(zip(p.base.blocks, p.color, relative_depths(p))), params)
 
 
 def _checked_coeffs(algebra: Algebra, coeffs: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """The coefficients b_0..b_n as complex arrays, each checked to live in the algebra."""
+    """The coefficients b_0..b_n (n >= 0) as complex arrays, each checked to live in the algebra."""
+    if len(coeffs) == 0:
+        raise ValueError("a word needs at least one coefficient")
     coeffs = [np.asarray(c, dtype=complex) for c in coeffs]
     if not all(algebra.contains(c) for c in coeffs):
         raise ValueError("coefficients must live in the algebra")
@@ -186,7 +188,7 @@ def nc_sum(
     colors: Sequence[Sequence[str]],
     params: Mapping[str, JacobiParams],
 ) -> np.ndarray:
-    """Sum of evaluate_partition over NC_{1,2}(n) and every block coloring
+    """Sum of the partition terms over NC_{1,2}(n) and every block coloring
     allowed at both ends of each block; colors[i-1] lists the colors allowed
     at position i.  The entry of every partition-sum engine: it checks the
     degree against the cap and the coefficients against the algebra.
@@ -199,9 +201,8 @@ def nc_sum(
     coeffs = _checked_coeffs(next(iter(params.values())).algebra, coeffs)
     pairs_only = not any(np.any(par.lam(i)) for par in params.values() for i in range(1, n + 1))
     total = np.zeros_like(coeffs[0])
-    for p in enumerate_nc12(n, pairs_only=pairs_only):
-        for cp in colorings(p, colors):
-            total = total + evaluate_partition(coeffs, cp, params)
+    for blocks in _colored_nc12(n, colors, pairs_only):
+        total += _evaluate(coeffs, blocks, params)
     return total
 
 
@@ -648,6 +649,4 @@ def word_to_json(algebra: Algebra, coeffs: Sequence[np.ndarray]) -> dict:
 def word_from_json(obj) -> tuple[Algebra, list[np.ndarray]]:
     alg = algebra_from_json(obj["algebra"])
     coeffs = [matrix_from_json(e["entries"]) for e in obj["coeffs"]]
-    if not coeffs:
-        raise ValueError("a word needs at least one coefficient")
     return alg, _checked_coeffs(alg, coeffs)

@@ -8,7 +8,7 @@ python integers.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -24,20 +24,21 @@ class Partition12:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        seen = set()
         for blk in self.blocks:
             if len(blk) not in (1, 2) or list(blk) != sorted(blk):
                 raise ValueError(f"bad block {blk}")
-            seen.update(blk)
-        if seen != set(range(1, self.n + 1)):
-            raise ValueError("blocks do not cover {1..n}")
+        if sorted(i for blk in self.blocks for i in blk) != list(range(1, self.n + 1)):
+            raise ValueError("blocks do not partition {1..n}")
         if list(self.blocks) != sorted(self.blocks, key=lambda b: b[0]):
             raise ValueError("blocks not in canonical order")
-        for (a, *restb), (c, *restd) in itertools.combinations(self.blocks, 2):
-            if restb and restd:
-                b, d = restb[0], restd[0]
-                if a < c < b < d or c < a < d < b:
-                    raise ValueError(f"crossing blocks ({a},{b}), ({c},{d})")
+        covers = []  # the pairs covering the current block, innermost last
+        for blk in self.blocks:
+            while covers and covers[-1][1] < blk[0]:
+                covers.pop()
+            if covers and covers[-1][1] < blk[-1]:
+                raise ValueError(f"crossing blocks {covers[-1]}, {blk}")
+            if len(blk) == 2:
+                covers.append(blk)
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
@@ -73,40 +74,51 @@ class ColoredPartition:
         )
 
 
-def _nc12_blocks(elems: tuple[int, ...], pairs_only: bool) -> Iterator[list]:
-    """All non-crossing singleton/pair partitions of an ordered tuple."""
-    if not elems:
-        yield []
+def _colored_nc12(
+    n: int, colors: Sequence[Sequence[str]], pairs_only: bool = False, k: float = math.inf, l: float = math.inf
+) -> Iterator[tuple[tuple[tuple[int, ...], str, int], ...]]:
+    """Yield every colored NC_{1,2}(n) (NC_2(n) if pairs_only) partition as
+    (block, color, depth) triples in canonical order.  colors[i-1] lists the
+    colors allowed at position i and a block takes one allowed at both ends;
+    its depth follows the reset rule (relative_depths) from the pair it is
+    generated under.  Pairs of depth >= k (blue) or >= l (red) are skipped."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if k < 1 or l < 1:
+        raise ValueError("depth bounds must be >= 1")
+    if pairs_only and n % 2:
         return
-    first, rest = elems[0], elems[1:]
-    if not pairs_only:
-        for tail in _nc12_blocks(rest, pairs_only):
-            yield [(first,)] + tail
-    for j, partner in enumerate(rest):
-        inside, outside = rest[:j], rest[j + 1 :]
-        if pairs_only and (len(inside) % 2 or len(outside) % 2):
-            continue
-        for pin in _nc12_blocks(inside, pairs_only):
-            for pout in _nc12_blocks(outside, pairs_only):
-                yield [(first, partner)] + pin + pout
+    bound = {BLUE: k, RED: l}
+    out = []
+
+    def walk(i: int, cover: tuple) -> Iterator[tuple]:
+        # cover: (closer, color, depth, outer cover) of the innermost open pair, the root at n + 1
+        while i == cover[0]:
+            if cover[3] is None:
+                yield tuple(out)
+                return
+            i, cover = i + 1, cover[3]
+        closer, cover_c, cover_d, _ = cover
+        allowed = colors[i - 1]
+        if not pairs_only:
+            for c in allowed:
+                out.append(((i,), c, cover_d + 1 if c == cover_c else 1))
+                yield from walk(i + 1, cover)
+                out.pop()
+        for q in range(i + 1, closer, 2 if pairs_only else 1):  # pairs only: even gaps inside
+            for c in allowed:
+                d = cover_d + 1 if c == cover_c else 1
+                if d < bound[c] and c in colors[q - 1]:
+                    out.append(((i, q), c, d))
+                    yield from walk(i + 1, (q, c, d, cover))
+                    out.pop()
+
+    yield from walk(1, (n + 1, None, 0, None))
 
 
 def enumerate_nc12(n: int, pairs_only: bool = False) -> Iterator[Partition12]:
     """Yield NC_{1,2}(n) (or NC_2(n) if pairs_only), canonical order."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if pairs_only and n % 2:
-        return
-    for blocks in _nc12_blocks(tuple(range(1, n + 1)), pairs_only):
-        yield Partition12(n, tuple(blocks))
-
-
-def colorings(p: Partition12, colors: Sequence[Sequence[str]]) -> Iterator[ColoredPartition]:
-    """Every coloring of p's blocks in which each block takes a color allowed
-    at both of its ends; colors[i-1] lists the colors allowed at position i."""
-    choices = [[c for c in colors[blk[0] - 1] if c in colors[blk[-1] - 1]] for blk in p.blocks]
-    for coloring in itertools.product(*choices):
-        yield ColoredPartition(p, coloring)
+    return enumerate_nc12_depth(n, math.inf, pairs_only)
 
 
 def block_depths(p: Partition12 | ColoredPartition) -> tuple[int, ...]:
@@ -132,17 +144,13 @@ def relative_depths(p: ColoredPartition) -> tuple[int, ...]:
 
 def enumerate_nc12_depth(n: int, k: int, pairs_only: bool = False) -> Iterator[Partition12]:
     """Yield NC_{1,2}^k(n): partitions whose pair blocks all have depth < k."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    for p in enumerate_nc12(n, pairs_only):
-        if tcnc_depth_ok(ColoredPartition(p, (BLUE,) * len(p.blocks)), k, k):
-            yield p
+    for blocks in _colored_nc12(n, [(BLUE,)] * n, pairs_only, k):
+        yield Partition12(n, tuple(blk for blk, _, _ in blocks))
 
 
 def enumerate_tcnc(n: int, pairs_only: bool = False) -> Iterator[ColoredPartition]:
     """Yield TCNC_{1,2}(n) (or TCNC_2(n) if pairs_only)."""
-    for p in enumerate_nc12(n, pairs_only):
-        yield from colorings(p, [(BLUE, RED)] * n)
+    return enumerate_tcnc_depth(n, math.inf, math.inf, pairs_only)
 
 
 def tcnc_depth_ok(cp: ColoredPartition, k: int, l: int) -> bool:
@@ -161,15 +169,11 @@ def tcnc_depth_ok(cp: ColoredPartition, k: int, l: int) -> bool:
     )
 
 
-def enumerate_tcnc_depth(
-    n: int, k: int, l: int, pairs_only: bool = False
-) -> Iterator[ColoredPartition]:
+def enumerate_tcnc_depth(n: int, k: int, l: int, pairs_only: bool = False) -> Iterator[ColoredPartition]:
     """Yield TCNC_{1,2}^{k,l}(n) (or TCNC_2^{k,l}(n) if pairs_only)."""
-    if k < 1 or l < 1:
-        raise ValueError("depth bounds must be >= 1")
-    for cp in enumerate_tcnc(n, pairs_only):
-        if tcnc_depth_ok(cp, k, l):
-            yield cp
+    for blocks in _colored_nc12(n, [(BLUE, RED)] * n, pairs_only, k, l):
+        base = Partition12(n, tuple(blk for blk, _, _ in blocks))
+        yield ColoredPartition(base, tuple(c for _, c, _ in blocks))
 
 
 def odd_compositions(p: int, q: int) -> Iterator[tuple[int, ...]]:
@@ -187,16 +191,13 @@ def odd_compositions(p: int, q: int) -> Iterator[tuple[int, ...]]:
 
 def count_family(family: str, n: int, k: Optional[int] = None, l: Optional[int] = None) -> int:
     """Exact size of a partition family, by enumeration."""
-    families = {
-        "NC12": lambda: enumerate_nc12(n),
-        "NC2": lambda: enumerate_nc12(n, pairs_only=True),
-        "NC12^k": lambda: enumerate_nc12_depth(n, k),
-        "NC2^k": lambda: enumerate_nc12_depth(n, k, pairs_only=True),
-        "TCNC12": lambda: enumerate_tcnc(n),
-        "TCNC2": lambda: enumerate_tcnc(n, pairs_only=True),
-        "TCNC^{k,l}": lambda: enumerate_tcnc_depth(n, k, l),
-        "TCNC2^{k,l}": lambda: enumerate_tcnc_depth(n, k, l, pairs_only=True),
+    one, two, inf = [(BLUE,)] * n, [(BLUE, RED)] * n, math.inf
+    families = {  # family: (colors at each position, pairs only, k, l)
+        "NC12": (one, False, inf, inf), "NC2": (one, True, inf, inf),
+        "NC12^k": (one, False, k, k), "NC2^k": (one, True, k, k),
+        "TCNC12": (two, False, inf, inf), "TCNC2": (two, True, inf, inf),
+        "TCNC^{k,l}": (two, False, k, l), "TCNC2^{k,l}": (two, True, k, l),
     }
     if family not in families:
         raise ValueError(f"unknown family {family!r}")
-    return sum(1 for _ in families[family]())
+    return sum(1 for _ in _colored_nc12(n, *families[family]))

@@ -95,6 +95,16 @@ def test_engines_reject_coefficients_outside_algebra(engine):
     engine(SEMID, [np.eye(2)] * 3)  # the same word inside B computes
 
 
+@pytest.mark.parametrize(
+    "engine",
+    [moment, fock_moment, lambda p, cs: free_convolve_word(JointModel(p, p), cs)],
+    ids=["moment", "fock_moment", "free_convolve_word"],
+)
+def test_engines_reject_empty_word(engine):
+    with pytest.raises(ValueError, match="at least one coefficient"):
+        engine(SEMID, [])
+
+
 # -- one engine, three independent routes ----------------------------------------
 
 

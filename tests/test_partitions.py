@@ -1,3 +1,7 @@
+import math
+from collections import Counter
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +11,7 @@ from ncfree.partitions import (
     RED,
     ColoredPartition,
     Partition12,
+    _colored_nc12,
     block_depths,
     count_family,
     enumerate_nc12,
@@ -41,6 +46,23 @@ def test_crossing_rejected():
 def test_partition_must_cover():
     with pytest.raises(ValueError):
         Partition12(3, ((1, 2),))
+
+
+@pytest.mark.parametrize(
+    "n, blocks",
+    [(3, ((1, 2), (2, 3))), (2, ((1,), (1, 2))), (2, ((1, 2), (2,))), (6, ((1, 4), (2, 3), (3, 6), (5,)))],
+)
+def test_overlapping_blocks_rejected(n, blocks):
+    # every element is covered, but some element lies in two blocks
+    with pytest.raises(ValueError):
+        Partition12(n, blocks)
+
+
+def test_crossing_rejected_after_closed_pairs():
+    # (1,2) closes before (3,5) opens; (4,6) crosses (3,5)
+    with pytest.raises(ValueError, match="crossing"):
+        Partition12(6, ((1, 2), (3, 5), (4, 6)))
+    Partition12(6, ((1, 2), (3, 6), (4, 5)))
 
 
 def test_block_depths_nested():
@@ -151,3 +173,74 @@ def test_recursive_decomposition_invariant():
     # closed form is 2^n * Catalan(n); check against enumeration
     for n in range(1, 6):
         assert counts[n] == sum(1 for _ in enumerate_tcnc(2 * n, pairs_only=True))
+
+
+# -- the colored generator against the object route ------------------------------
+
+
+def colored_route(n, colors, pairs_only):
+    """enumerate_nc12 times the colors allowed at both ends of each block."""
+    for p in enumerate_nc12(n, pairs_only):
+        choices = [[c for c in colors[blk[0] - 1] if c in colors[blk[-1] - 1]] for blk in p.blocks]
+        for coloring in product(*choices):
+            yield ColoredPartition(p, coloring)
+
+
+def reference_route(n, colors, k, l, pairs_only):
+    """Every colored partition built the slow way, filtered by tcnc_depth_ok."""
+    return (cp for cp in colored_route(n, colors, pairs_only) if tcnc_depth_ok(cp, k, l))
+
+
+BOUNDS = st.one_of(st.integers(min_value=1, max_value=4), st.just(math.inf))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(min_value=0, max_value=8),
+    k=BOUNDS,
+    l=BOUNDS,
+    pairs_only=st.booleans(),
+)
+def test_generator_matches_object_route(data, n, k, l, pairs_only):
+    colors = data.draw(st.lists(st.sampled_from([(BLUE,), (RED,), (BLUE, RED)]), min_size=n, max_size=n))
+    got = list(_colored_nc12(n, colors, pairs_only, k, l))
+    assert len(set(got)) == len(got)
+    want = {
+        tuple(zip(cp.base.blocks, cp.color, relative_depths(cp)))
+        for cp in reference_route(n, colors, k, l, pairs_only)
+    }
+    assert set(got) == want
+
+
+# family: (colors at every position, pairs only, depth-bounded by K_L)
+FAMILIES = {
+    "NC12": ((BLUE,), False, False),
+    "NC2": ((BLUE,), True, False),
+    "NC12^k": ((BLUE,), False, True),
+    "NC2^k": ((BLUE,), True, True),
+    "TCNC12": ((BLUE, RED), False, False),
+    "TCNC2": ((BLUE, RED), True, False),
+    "TCNC^{k,l}": ((BLUE, RED), False, True),
+    "TCNC2^{k,l}": ((BLUE, RED), True, True),
+}
+K_L = (2, 3)
+
+
+def test_count_family_matches_object_route():
+    # one pass of the colored route per n and color set serves its four
+    # families: the pairings are the members without singletons, and the
+    # bounded families keep the members tcnc_depth_ok(., *K_L) admits
+    for n in range(11):
+        tally = Counter()
+        for colors in ((BLUE,), (BLUE, RED)):
+            for cp in colored_route(n, [colors] * n, False):
+                pairing = all(len(blk) == 2 for blk in cp.base.blocks)
+                tally[colors, pairing, tcnc_depth_ok(cp, *K_L)] += 1
+        for family, (colors, pairs_only, bounded) in FAMILIES.items():
+            want = sum(
+                count
+                for (cs, pairing, within), count in tally.items()
+                if cs == colors and (pairing or not pairs_only) and (within or not bounded)
+            )
+            assert count_family(family, n, *K_L) == want, (family, n)
