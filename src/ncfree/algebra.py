@@ -1,6 +1,6 @@
 """Finite-dimensional base algebras: full matrix algebra M_d and the
 diagonal subalgebra D_d over complex scalars, their elements (plain
-complex ndarrays), linear self-maps, and amplifications.
+complex ndarrays) and linear self-maps.
 
 Linear maps are stored canonically as a d^2 x d^2 dense matrix acting on
 the column-major vectorization; a Kraus list may be attached.  Complete
@@ -217,49 +217,6 @@ def flip_map(d: int = 2) -> LinMap:
     return LinMap.from_kraus(alg, kraus)
 
 
-@dataclass(frozen=True)
-class ConditionalExpectation:
-    """The trace-preserving projection of M_d onto its diagonal subalgebra."""
-
-    dim: int
-
-    @property
-    def source(self) -> Algebra:
-        return Algebra("full", self.dim)
-
-    @property
-    def target(self) -> Algebra:
-        return Algebra("diagonal", self.dim)
-
-    def apply(self, mat: np.ndarray) -> np.ndarray:
-        mat = np.asarray(mat, dtype=complex)
-        return np.diag(np.diag(mat))
-
-    def __call__(self, mat: np.ndarray) -> np.ndarray:
-        return self.apply(mat)
-
-
-def amplify_element(mat: np.ndarray, d_outer: int) -> np.ndarray:
-    """1_{d_outer} (x) mat on M_{d_outer}(B)."""
-    return np.kron(np.eye(d_outer), np.asarray(mat, dtype=complex))
-
-
-def amplify_map(m: LinMap, d_outer: int) -> LinMap:
-    """I_{d_outer} (x) m: apply m to each d x d block of a block matrix."""
-    d = m.algebra.dim
-    big = Algebra("full", d_outer * d)
-
-    def action(x: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(x)
-        for i in range(d_outer):
-            for j in range(d_outer):
-                blk = x[i * d : (i + 1) * d, j * d : (j + 1) * d]
-                out[i * d : (i + 1) * d, j * d : (j + 1) * d] = m.apply(blk)
-        return out
-
-    return LinMap.from_action(big, action)
-
-
 def gram_psd_check(grid: Sequence[Sequence[np.ndarray]]) -> bool:
     """Assemble the block matrix [g_ij] and test positive semidefiniteness."""
     n = len(grid)
@@ -297,19 +254,14 @@ def algebra_to_json(alg: Algebra) -> dict:
 
 
 def algebra_from_json(obj) -> Algebra:
-    return Algebra(obj["kind"], int(obj["dim"]))
+    dim = obj["dim"]
+    if type(dim) is not int:  # a JSON integer; bool is a subclass of int
+        raise ValueError(f"algebra dim must be an integer, got {dim!r}")
+    return Algebra(obj["kind"], dim)
 
 
 def element_to_json(alg: Algebra, mat: np.ndarray) -> dict:
     return {"algebra": algebra_to_json(alg), "entries": matrix_to_json(mat)}
-
-
-def element_from_json(obj) -> tuple[Algebra, np.ndarray]:
-    alg = algebra_from_json(obj["algebra"])
-    mat = matrix_from_json(obj["entries"])
-    if not alg.contains(mat):
-        raise ValueError("entries not in the declared algebra")
-    return alg, mat
 
 
 def linmap_to_json(m: LinMap) -> dict:

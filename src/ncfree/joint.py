@@ -189,6 +189,10 @@ class MomentTable:
     degree: int
     fn: Callable[[Sequence[np.ndarray]], np.ndarray]
 
+    def __post_init__(self):
+        if self.degree < 0:
+            raise ValueError(f"degree must be >= 0, got {self.degree}")
+
     def __call__(self, coeffs: Sequence[np.ndarray]) -> np.ndarray:
         coeffs = [np.asarray(c, dtype=complex) for c in coeffs]
         if len(coeffs) - 1 > self.degree:
@@ -246,52 +250,46 @@ def verify_jacobi_consistency(table: MomentTable) -> dict:
     if not (negligible(table([one, one]), np.sqrt(second)) and negligible(third, second**1.5)):
         raise ValueError("consistency test requires a symmetric (odd moments zero) table")
 
-    # rows: one matrix equation per basis triple; unknowns x[c, j] with
-    # beta_2(basis[j]) = sum_c x[c, j] basis[c]
-    rows_a = []
-    rows_l = []
-    triples = list(product(range(m), repeat=3))
-    lhs_by_triple = {}
-    terms = []
-    for (i, j, k) in triples:
-        fourth = table([one, basis[i], basis[j], basis[k], one])
-        known = beta1(basis[i]) @ basis[j] @ beta1(basis[k])
-        terms += [fourth, known]
-        lhs = fourth - known
-        lhs_by_triple[(i, j, k)] = lhs
-        a_row = np.zeros((d * d, m * m), dtype=complex)
-        for c in range(m):
-            a_row[:, c * m + j] = (beta1(basis[i] @ basis[c] @ basis[k])).reshape(-1)
-        rows_a.append(a_row)
-        rows_l.append(lhs.reshape(-1))
-    big_a = np.vstack(rows_a)
-    big_l = np.concatenate(rows_l)
-    x, *_ = np.linalg.lstsq(big_a, big_l, rcond=None)
-    residuals = big_a @ x - big_l
+    # beta_2(basis[j]) = sum_c x[c, j] basis[c] enters every triple (b1, basis[j], b3)
+    # through the same map c -> beta_1(b1 basis[c] b3): one design matrix serves
+    # every j, with one right-hand side per j.
+    pairs = list(product(range(m), repeat=2))
+    fourth = np.array([[table([one, basis[i], bj, basis[k], one]) for bj in basis] for i, k in pairs])
+    beta1_basis = [beta1(b) for b in basis]
+    known = np.array([[beta1_basis[i] @ bj @ beta1_basis[k] for bj in basis] for i, k in pairs])
+    lhs = fourth - known
+
+    def by_column(arr):
+        # (pair (b1, b3), j or c, d, d) -> rows (pair, entry of vec), columns j or c
+        return arr.transpose(0, 3, 2, 1).reshape(-1, m)
+
+    design = by_column(np.array([[beta1(basis[i] @ bc @ basis[k]) for bc in basis] for i, k in pairs]))
+    rhs = by_column(lhs)
+    x, *_ = np.linalg.lstsq(design, rhs, rcond=None)
+    residuals = design @ x - rhs
     worst = float(np.max(np.abs(residuals)))
 
-    if negligible(residuals, *terms):
-        coeff = x.reshape(m, m)
-
+    if negligible(residuals, fourth, known):
         def beta2_action(b):
             # expand b over the basis (orthogonal matrix units / diagonal units)
             out = np.zeros((d, d), dtype=complex)
             for j, ej in enumerate(basis):
                 w = np.sum(ej.conj() * b)
-                out = out + w * sum(coeff[c, j] * basis[c] for c in range(m))
+                out = out + w * sum(x[c, j] * basis[c] for c in range(m))
             return out
 
         beta2 = LinMap.from_action(alg, beta2_action)
         return {"consistent": True, "beta1": beta1, "beta2": beta2, "residual": worst}
 
     # point at the worst coefficient triple
-    per_triple = np.abs(residuals).reshape(len(triples), d * d).max(axis=1)
-    i, j, k = triples[int(np.argmax(per_triple))]
+    per_triple = np.abs(residuals).reshape(len(pairs), d * d, m).max(axis=1)
+    p, j = np.unravel_index(np.argmax(per_triple), per_triple.shape)
+    i, k = pairs[p]
     witness = {
         "b1": element_to_json(alg, basis[i]),
         "b2": element_to_json(alg, basis[j]),
         "b3": element_to_json(alg, basis[k]),
-        "lhs_minus_known": element_to_json(alg, lhs_by_triple[(i, j, k)]),
+        "lhs_minus_known": element_to_json(alg, lhs[p, j]),
         "residual": float(per_triple.max()),
     }
     return {"consistent": False, "beta1": beta1, "beta2": None, "residual": worst, "witness": witness}
@@ -325,32 +323,26 @@ def two_by_two_model_check(lam: float, gam: float, terms: int = 40) -> dict:
     def diag_part(mat):
         return np.diag(np.diag(mat))
 
-    # G_mu: matrix-model series vs closed form
+    # G_mu from the matrix model, G_{mu boxplus mu} from the central-binomial series
     g_series = np.zeros((2, 2), dtype=complex)
-    pw = np.eye(2, dtype=complex)
-    for _ in range(terms):
-        g_series += binv @ diag_part(pw)
-        pw = pw @ a @ binv @ a @ binv  # advance two moment degrees
-    g_closed = np.diag([1 / (lam - 1 / gam), 1 / (gam - 1 / lam)]).astype(complex)
-
-    # G_{mu boxplus mu}: central-binomial series
     g_conv_series = np.zeros((2, 2), dtype=complex)
     pw = np.eye(2, dtype=complex)
     for n in range(terms):
-        g_conv_series += comb(2 * n, n) * (binv @ diag_part(pw))
-        pw = pw @ a @ binv @ a @ binv
+        term = binv @ diag_part(pw)
+        g_series += term
+        g_conv_series += comb(2 * n, n) * term
+        pw = pw @ a @ binv @ a @ binv  # advance two moment degrees
+    g_closed = np.diag([1 / (lam - 1 / gam), 1 / (gam - 1 / lam)]).astype(complex)
 
     # F_{mu boxplus mu} closed form, principal branch with the asymptotic sign
     def branch_sqrt(val, ref):
         s = np.emath.sqrt(val)
         return s if abs(s - ref) <= abs(s + ref) else -s
 
-    f_conv_closed = np.diag(
-        [
-            branch_sqrt(lam**2 - 4 * lam / gam, lam),
-            branch_sqrt(gam**2 - 4 * gam / lam, gam),
-        ]
-    ).astype(complex)
+    def f_conv(l, g):
+        return np.diag([branch_sqrt(l**2 - 4 * l / g, l), branch_sqrt(g**2 - 4 * g / l, g)]).astype(complex)
+
+    f_conv_closed = f_conv(lam, gam)
     g_conv_closed = np.linalg.inv(f_conv_closed)
 
     # Subordination cross-check: F_inv of F_mu solves w - 1/w_swap = target;
@@ -369,10 +361,7 @@ def two_by_two_model_check(lam: float, gam: float, terms: int = 40) -> dict:
     f_inv_mu = f_mu_inverse(big)
     f_inv_conv = 2 * f_inv_mu - big
     # evaluate the closed-form F_{mu boxplus mu} at that point: should return b
-    l2, g2 = np.diag(f_inv_conv)
-    f_at_inv = np.diag(
-        [branch_sqrt(l2**2 - 4 * l2 / g2, l2), branch_sqrt(g2**2 - 4 * g2 / l2, g2)]
-    ).astype(complex)
+    f_at_inv = f_conv(*np.diag(f_inv_conv))
     subordination_residual = float(np.max(np.abs(f_at_inv - big)))
 
     return {

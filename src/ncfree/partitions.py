@@ -200,4 +200,8 @@ def count_family(family: str, n: int, k: Optional[int] = None, l: Optional[int] 
     }
     if family not in families:
         raise ValueError(f"unknown family {family!r}")
+    # a bounded family spells its bounds in its name
+    missing = [name for name, bound in (("k", k), ("l", l)) if bound is None and name in family]
+    if missing:
+        raise ValueError(f"family {family} needs the depth bound {' and '.join(missing)}")
     return sum(1 for _ in _colored_nc12(n, *families[family]))

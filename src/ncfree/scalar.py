@@ -394,10 +394,6 @@ def free_binomial_enumeration(n: int, t) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def measure_to_json(m: AtomicMeasure) -> dict:
-    return {"atoms": list(m.atoms), "weights": list(m.weights)}
-
-
 def table_to_tsv(rows: list[tuple[str, list[int]]]) -> str:
     n_max = len(rows[0][1])
     header = "k\t" + "\t".join(f"n={2 * (i + 1)}" for i in range(n_max))

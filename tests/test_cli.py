@@ -168,6 +168,20 @@ def test_mismatched_algebras_usage(tmp_path, capsys):
     assert main(["moments", "--params", pf, "--word", w2]) == 2
 
 
+def test_convolve_negative_degree_is_usage_error(tmp_path, capsys):
+    pf = semicircular_file(tmp_path)
+    assert main(["convolve", "--p1", pf, "--p2", pf, "--degree", "-1"]) == 2
+    assert "degree must be >= 0" in capsys.readouterr().err
+
+
+def test_non_integer_dim_is_usage_error(tmp_path, capsys):
+    params = params_to_json(semicircular(ALG1, LinMap.from_dense(ALG1, ONE1)))
+    params["algebra"]["dim"] = 1.5
+    pf = write_json(tmp_path, "sc.json", params)
+    assert main(["moments", "--params", pf, "--word", unit_word_file(tmp_path, 2)]) == 2
+    assert "dim must be an integer" in capsys.readouterr().err
+
+
 # -- verify -----------------------------------------------------------------------
 
 

@@ -4,9 +4,10 @@ from itertools import product
 import numpy as np
 import pytest
 
-from ncfree.algebra import Algebra, LinMap, flip_map
+from ncfree.algebra import Algebra, LinMap, flip_map, matrix_from_json, negligible
 from ncfree.jacobi import (
     JacobiParams,
+    bernoulli,
     moment,
     scalar_jacobi,
     semicircular,
@@ -288,6 +289,14 @@ def test_moment_table_interface():
         t([ALG2.unit()] * 9)
 
 
+def test_moment_tables_reject_negative_degree():
+    s = semicircular(ALG2, LinMap.identity(ALG2))
+    with pytest.raises(ValueError, match="degree must be >= 0"):
+        params_moment_table(s, -1)
+    with pytest.raises(ValueError, match="degree must be >= 0"):
+        free_convolve_moments(JointModel(s, s), -1)
+
+
 def test_symmetry_color_swap():
     p1, p2 = rand_params(), rand_params()
     m12, m21 = JointModel(p1, p2), JointModel(p2, p1)
@@ -335,6 +344,26 @@ def test_counterexample_flip_bernoulli():
     assert not rep["consistent"]
     assert rep["residual"] > 1e-3
     assert "witness" in rep
+
+
+def test_counterexample_witness():
+    # several coefficient triples tie at the largest residual; any of them may be reported
+    algd = Algebra("diagonal", 2)
+    b_flip = bernoulli(algd, algd.zero(), algd.zero(), flip_map())
+    b_id = bernoulli(algd, algd.zero(), algd.zero(), LinMap.identity(algd))
+    table = free_convolve_moments(JointModel(b_flip, b_id), 4)
+    rep = verify_jacobi_consistency(table)
+    assert not rep["consistent"]
+    assert negligible(rep["residual"] - 0.5, rep["residual"], 0.5)
+    wit = rep["witness"]
+    assert wit["residual"] == rep["residual"]  # the largest residual of any triple
+    one = algd.unit()
+    b1, b2, b3 = (matrix_from_json(wit[key]["entries"]) for key in ("b1", "b2", "b3"))
+    assert all(any(np.array_equal(b, e) for e in algd.basis()) for b in (b1, b2, b3))
+    beta1_b1, beta1_b3 = (table([one, b, one]) for b in (b1, b3))
+    expected = table([one, b1, b2, b3, one]) - beta1_b1 @ b2 @ beta1_b3
+    got = matrix_from_json(wit["lhs_minus_known"]["entries"])
+    assert negligible(got - expected, got, expected)
 
 
 # -- the 2x2 diagonal model -----------------------------------------------------

@@ -244,3 +244,12 @@ def test_count_family_matches_object_route():
                 if cs == colors and (pairing or not pairs_only) and (within or not bounded)
             )
             assert count_family(family, n, *K_L) == want, (family, n)
+
+
+@pytest.mark.parametrize(
+    "family, bounds, missing",
+    [("NC12^k", (), "k"), ("NC2^k", (), "k"), ("TCNC^{k,l}", (2,), "l"), ("TCNC2^{k,l}", (), "k and l")],
+)
+def test_count_family_names_missing_bound(family, bounds, missing):
+    with pytest.raises(ValueError, match=f"needs the depth bound {missing}$"):
+        count_family(family, 4, *bounds)

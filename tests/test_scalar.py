@@ -19,7 +19,6 @@ from ncfree.scalar import (
     free_binomial_series,
     free_convolve_scalar,
     g_recursion_check,
-    measure_to_json,
     moments_to_cumulants,
     nu_k,
     nu_moments,
@@ -208,9 +207,3 @@ def test_free_binomial_t2_central_binomial():
 
     for n in range(8):
         assert free_binomial_closed(n, 2) == comb(2 * n, n)
-
-
-def test_measure_json():
-    obj = measure_to_json(nu_k(2))
-    assert len(obj["atoms"]) == len(obj["weights"]) == 2
-    assert np.isclose(sum(obj["weights"]), 1.0)
