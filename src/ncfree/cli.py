@@ -7,6 +7,7 @@ Machine-first output (JSON/TSV); `--pretty` adds indentation.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -80,6 +81,8 @@ class UsageError(Exception):
 
 def cmd_count(args) -> int:
     family, n, k, l = args.family, args.n, args.k, args.l
+    if n < 0:
+        raise UsageError("--n must be >= 0")
     if family == "TCNC2" and (k is None or l is None):
         raise UsageError("TCNC2 requires --k and --l")
     methods = []
@@ -386,9 +389,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache  # one parser per process, built on first use; parsing leaves it unchanged
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

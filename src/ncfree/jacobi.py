@@ -138,28 +138,41 @@ def scalar_jacobi(
 # ---------------------------------------------------------------------------
 
 
-def _evaluate(
-    coeffs: Sequence[np.ndarray], blocks: Sequence[tuple], params: Mapping[str, JacobiParams]
-) -> np.ndarray:
+def _tables(coeffs: Sequence[np.ndarray], params: Mapping[str, JacobiParams]) -> tuple[dict, dict]:
+    """Per color c and depth k = 1..n: lam_b[c][k-1][i] = lambda_k @ b_i, and alpha[c][k-1] is alpha_k
+    acting on the row-major `ravel()`.  Past the head every depth shares the head+1 entry."""
+    n, stack = len(coeffs) - 1, np.array(coeffs)
+    lam_b, alpha = {}, {}
+    for c, par in params.items():
+        levels = range(1, min(n, max(len(par.head_lambda), len(par.head_alpha)) + 1) + 1)
+        lam_b[c] = [list(par.lam(k) @ stack) for k in levels]
+        d = par.algebra.dim  # the dense form indexes entry (i, j) at j*d + i; the row-major one at i*d + j
+        alpha[c] = [par.alpha(k).dense.reshape((d,) * 4).transpose(1, 0, 3, 2).reshape(d * d, -1) for k in levels]
+        for table in (lam_b[c], alpha[c]):
+            table += table[-1:] * (n - len(levels))
+    return lam_b, alpha
+
+
+def _evaluate(coeffs: Sequence[np.ndarray], blocks: Sequence[tuple], lam_b: dict, alpha: dict) -> np.ndarray:
     """Insert a lambda per singleton and apply an alpha across each pair.
 
     `coeffs` is b_0..b_n and `blocks` lists (block, color, depth) in canonical
     order, partitioning the X positions {1..n}; each block draws its
-    parameters from `params[color]` at that depth.
+    parameters from the `_tables` of its color at that depth.
     """
     out = coeffs[0]
     opened = []  # (product before the pair, its alpha, its closer), innermost last
     for blk, c, k in blocks:
         while opened and opened[-1][2] < blk[0]:
-            before, alpha, q = opened.pop()
-            out = before @ alpha(out) @ coeffs[q]
+            before, a, q = opened.pop()
+            out = before @ (a @ out.ravel()).reshape(out.shape) @ coeffs[q]
         if len(blk) == 1:
-            out = out @ params[c].lam(k) @ coeffs[blk[0]]
+            out = out @ lam_b[c][k - 1][blk[0]]
         else:
-            opened.append((out, params[c].alpha(k), blk[1]))
+            opened.append((out, alpha[c][k - 1], blk[1]))
             out = coeffs[blk[0]]
-    for before, alpha, q in reversed(opened):
-        out = before @ alpha(out) @ coeffs[q]
+    for before, a, q in reversed(opened):
+        out = before @ (a @ out.ravel()).reshape(out.shape) @ coeffs[q]
     return out
 
 
@@ -170,7 +183,8 @@ def evaluate_partition(
 ) -> np.ndarray:
     """The term of `p` in the partition sum: each block draws its parameters from
     `params[color]` at its reset depth (the absolute depth for one color)."""
-    return _evaluate(coeffs, list(zip(p.base.blocks, p.color, relative_depths(p))), params)
+    coeffs = _checked_coeffs(next(iter(params.values())).algebra, coeffs)
+    return _evaluate(coeffs, list(zip(p.base.blocks, p.color, relative_depths(p))), *_tables(coeffs, params))
 
 
 def _checked_coeffs(algebra: Algebra, coeffs: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -191,7 +205,8 @@ def nc_sum(
     """Sum of the partition terms over NC_{1,2}(n) and every block coloring
     allowed at both ends of each block; colors[i-1] lists the colors allowed
     at position i.  The entry of every partition-sum engine: it checks the
-    degree against the cap and the coefficients against the algebra.
+    degree against the cap and the coefficients against the algebra, then
+    tabulates the parameters once for every term (`_tables`).
 
     When every lambda through degree n is exactly zero, singleton blocks
     contribute nothing and the sum runs over pairings only.
@@ -201,8 +216,9 @@ def nc_sum(
     coeffs = _checked_coeffs(next(iter(params.values())).algebra, coeffs)
     pairs_only = not any(np.any(par.lam(i)) for par in params.values() for i in range(1, n + 1))
     total = np.zeros_like(coeffs[0])
+    lam_b, alpha = _tables(coeffs, params)
     for blocks in _colored_nc12(n, colors, pairs_only):
-        total += _evaluate(coeffs, blocks, params)
+        total += _evaluate(coeffs, blocks, lam_b, alpha)
     return total
 
 
@@ -629,13 +645,15 @@ def params_to_json(p: JacobiParams) -> dict:
 
 def params_from_json(obj) -> JacobiParams:
     alg = algebra_from_json(obj["algebra"])
+    if type(obj.get("positive", False)) is not bool:  # a string such as "false" is no JSON boolean
+        raise ValueError(f"params positive must be true or false, got {obj['positive']!r}")
     return JacobiParams(
         alg,
         tuple(matrix_from_json(e["entries"]) for e in obj["head_lambda"]),
         tuple(linmap_from_json(alg, a) for a in obj["head_alpha"]),
         matrix_from_json(obj["tail_lambda"]["entries"]),
         linmap_from_json(alg, obj["tail_alpha"]),
-        positive=bool(obj.get("positive", False)),
+        positive=obj.get("positive", False),
     )
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -73,6 +76,24 @@ def test_count_usage_errors(capsys):
     assert main(["count", "--family", "TCNC2", "--n", "4"]) == 2
     assert main(["count", "--family", "TCNC2", "--n", "4", "--k", "2", "--l", "3", "--method", "recursion"]) == 2
     assert main(["count", "--family", "NC12", "--n", "4", "--method", "recursion"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--family", "TCNC2", "--k", "2", "--l", "2", "--method", "cumulant"],
+        ["--family", "TCNC2", "--k", "2", "--l", "2", "--method", "recursion"],
+        ["--family", "TCNC2", "--k", "2", "--l", "3", "--method", "all"],
+        ["--family", "TCNC2", "--k", "2", "--l", "2", "--method", "enumerate"],
+        ["--family", "NC12"],
+        ["--family", "NC2", "--k", "2"],
+    ],
+)
+def test_count_negative_n_is_usage_error(argv, capsys):
+    assert main(["count", "--n", "-2", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--n must be >= 0" in captured.err
 
 
 # -- table ----------------------------------------------------------------------
@@ -174,6 +195,14 @@ def test_convolve_negative_degree_is_usage_error(tmp_path, capsys):
     assert "degree must be >= 0" in capsys.readouterr().err
 
 
+def test_non_boolean_positive_is_usage_error(tmp_path, capsys):
+    params = params_to_json(semicircular(ALG1, LinMap.from_dense(ALG1, ONE1)))
+    params["positive"] = "false"
+    pf = write_json(tmp_path, "sc.json", params)
+    assert main(["moments", "--params", pf, "--word", unit_word_file(tmp_path, 2)]) == 2
+    assert "positive must be true or false" in capsys.readouterr().err
+
+
 def test_non_integer_dim_is_usage_error(tmp_path, capsys):
     params = params_to_json(semicircular(ALG1, LinMap.from_dense(ALG1, ONE1)))
     params["algebra"]["dim"] = 1.5
@@ -204,3 +233,35 @@ def test_verify_all(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["pass"] is True
     assert set(out["suites"]) == {"table", "counterexample", "two_by_two", "poisson_limit"}
+
+
+# -- one process, many requests ----------------------------------------------------
+
+
+def test_main_serves_requests_in_sequence(tmp_path, capsys):
+    """main keeps one parser per process: a usage error between two good
+    requests changes neither their exit codes nor their output."""
+    good = [
+        ["count", "--family", "TCNC2", "--n", "6", "--k", "2", "--l", "3", "--method", "all"],
+        ["moments", "--params", semicircular_file(tmp_path), "--word", unit_word_file(tmp_path, 4)],
+    ]
+    alone = []
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    for argv in good:
+        proc = subprocess.run([sys.executable, "-m", "ncfree.cli", *argv], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        alone.append(proc.stdout)
+
+    codes, outs = [], []
+    for argv in (good[0], ["count", "--family", "TCNC2", "--n", "4"], good[1]):
+        codes.append(main(argv))
+        outs.append(capsys.readouterr().out)
+    with pytest.raises(SystemExit) as exc:  # argparse rejects an unknown choice
+        main(["count", "--family", "NC3", "--n", "4"])
+    codes.append(exc.value.code)
+    capsys.readouterr()
+    codes.append(main(good[0]))
+    outs.append(capsys.readouterr().out)
+
+    assert codes == [0, 2, 0, 2, 0]
+    assert outs == [alone[0], "", alone[1], alone[0]]

@@ -8,13 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncfree.algebra import Algebra, LinMap, flip_map
+from ncfree.algebra import Algebra, LinMap, flip_map, negligible
 from ncfree.jacobi import (
     DegreeCapError,
     JacobiParams,
+    evaluate_partition,
     fock_moment,
     moment,
     moment_sequence,
+    nc_sum,
     semicircular,
 )
 from ncfree.joint import (
@@ -25,7 +27,7 @@ from ncfree.joint import (
     joint_moment_free_recursion,
     params_moment_table,
 )
-from ncfree.partitions import BLUE, RED
+from ncfree.partitions import BLUE, RED, _colored_nc12, enumerate_tcnc, relative_depths
 
 
 def rand_element(rng, alg):
@@ -134,3 +136,71 @@ def test_partition_sum_matches_independent_routes(kind, d, head, n, seed):
     colorings = product((BLUE, RED), repeat=len(short) - 1)
     expected = sum(joint_moment(model, colored_word(alg, short, cs)) for cs in colorings)
     assert_close(free_convolve_word(model, short), expected)
+
+
+# -- the per-block formula, the reference for the table-driven evaluator --------------
+
+
+def reference_term(coeffs, blocks, params):
+    """A partition term read off block by block: lambda_k and alpha_k looked up
+    from `params[color]` at each block's depth, alpha applied through LinMap."""
+    out = coeffs[0]
+    opened = []  # (product before the pair, its alpha, its closer), innermost last
+    for blk, c, k in blocks:
+        while opened and opened[-1][2] < blk[0]:
+            before, alpha, q = opened.pop()
+            out = before @ alpha(out) @ coeffs[q]
+        if len(blk) == 1:
+            out = out @ params[c].lam(k) @ coeffs[blk[0]]
+        else:
+            opened.append((out, params[c].alpha(k), blk[1]))
+            out = coeffs[blk[0]]
+    for before, alpha, q in reversed(opened):
+        out = before @ alpha(out) @ coeffs[q]
+    return out
+
+
+def assert_negligible(got, want):
+    assert negligible(got - want, got, want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from(["full", "diagonal"]),
+    d=st.sampled_from([1, 2, 3]),
+    heads=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    n=st.integers(min_value=0, max_value=7),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    pick=st.integers(min_value=0),
+)
+def test_evaluate_partition_matches_per_block_formula(kind, d, heads, n, seed, pick):
+    rng = np.random.default_rng(seed)
+    alg = Algebra(kind, d)
+    params = {BLUE: rand_params(rng, alg, heads[0]), RED: rand_params(rng, alg, heads[1])}
+    coeffs = [rand_element(rng, alg) for _ in range(n + 1)]
+    partitions = list(enumerate_tcnc(n))
+    p = partitions[pick % len(partitions)]
+    blocks = list(zip(p.base.blocks, p.color, relative_depths(p)))
+    assert_negligible(evaluate_partition(coeffs, p, params), reference_term(coeffs, blocks, params))
+
+
+@pytest.mark.parametrize("kind", ["full", "diagonal"])
+def test_pairs_only_sum_matches_per_block_formula(kind):
+    # every lambda is exactly zero, so nc_sum skips the partitions with a singleton
+    rng = np.random.default_rng(11)
+    alg = Algebra(kind, 2)
+    params = {}
+    for c, head in ((BLUE, 2), (RED, 0)):
+        p = rand_params(rng, alg, head)
+        params[c] = JacobiParams(alg, (alg.zero(),) * head, p.head_alpha, alg.zero(), p.tail_alpha)
+    coeffs = [rand_element(rng, alg) for _ in range(7)]
+    colors = [(BLUE, RED), (BLUE,), (BLUE, RED), (RED,), (BLUE, RED), (BLUE, RED)]
+    want = sum(reference_term(coeffs, blocks, params) for blocks in _colored_nc12(6, colors))
+    assert np.any(want)
+    assert_negligible(nc_sum(coeffs, colors, params), want)
+
+
+def test_evaluate_partition_rejects_coefficient_of_wrong_shape():
+    pairing = next(p for p in enumerate_tcnc(2) if p.base.blocks == ((1, 2),))
+    with pytest.raises(ValueError, match="algebra"):
+        evaluate_partition([np.eye(2), np.eye(3), np.eye(2)], pairing, {BLUE: SEMID, RED: SEMID})

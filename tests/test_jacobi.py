@@ -494,3 +494,18 @@ def test_params_json_roundtrip():
     q = params_from_json(json.loads(json.dumps(params_to_json(p))))
     assert q.isclose(p)
     assert q.positive == p.positive
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None, [], {}])
+def test_params_json_positive_must_be_boolean(value):
+    obj = json.loads(json.dumps(params_to_json(rand_params(positive=False))))
+    obj["positive"] = value
+    with pytest.raises(ValueError, match="positive"):
+        params_from_json(obj)
+
+
+def test_params_json_positive_defaults_to_false():
+    obj = json.loads(json.dumps(params_to_json(rand_params(positive=True))))
+    assert params_from_json(obj).positive is True
+    del obj["positive"]
+    assert params_from_json(obj).positive is False
