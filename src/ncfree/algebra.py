@@ -236,9 +236,15 @@ def complex_to_json(z: complex) -> list[float]:
 
 
 def complex_from_json(v) -> complex:
-    if isinstance(v, (int, float)):
+    """A JSON number or an [re, im] pair of numbers; anything else (a bool too) is a ValueError."""
+    def number(x):
+        return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+    if number(v):
         return complex(v)
-    return complex(v[0], v[1])
+    if isinstance(v, list) and len(v) == 2 and all(map(number, v)):
+        return complex(*v)
+    raise ValueError(f"a matrix entry must be a number or an [re, im] pair of numbers, got {v!r}")
 
 
 def matrix_to_json(mat: np.ndarray) -> list[list[list[float]]]:

@@ -139,40 +139,47 @@ def scalar_jacobi(
 
 
 def _tables(coeffs: Sequence[np.ndarray], params: Mapping[str, JacobiParams]) -> tuple[dict, dict]:
-    """Per color c and depth k = 1..n: lam_b[c][k-1][i] = lambda_k @ b_i, and alpha[c][k-1] is alpha_k
-    acting on the row-major `ravel()`.  Past the head every depth shares the head+1 entry."""
+    """Per color c and depth k = 1..n: lam_b[c][k-1][i] = lambda_k @ b_i, and alpha_b[c][k-1][q] sends
+    the row-major `ravel(X)` to `ravel(alpha_k(X) @ b_q)`.  Past the head every depth shares the head+1 entry."""
     n, stack = len(coeffs) - 1, np.array(coeffs)
-    lam_b, alpha = {}, {}
+    lam_b, alpha_b = {}, {}
     for c, par in params.items():
         levels = range(1, min(n, max(len(par.head_lambda), len(par.head_alpha)) + 1) + 1)
         lam_b[c] = [list(par.lam(k) @ stack) for k in levels]
         d = par.algebra.dim  # the dense form indexes entry (i, j) at j*d + i; the row-major one at i*d + j
-        alpha[c] = [par.alpha(k).dense.reshape((d,) * 4).transpose(1, 0, 3, 2).reshape(d * d, -1) for k in levels]
-        for table in (lam_b[c], alpha[c]):
+        dense = np.array([par.alpha(k).dense for k in levels]).reshape((-1,) + (d,) * 4)
+        alpha_b[c] = list(np.einsum("kliyx,qlj->kqijxy", dense, stack).reshape(len(levels), n + 1, d * d, d * d))
+        for table in (lam_b[c], alpha_b[c]):
             table += table[-1:] * (n - len(levels))
-    return lam_b, alpha
+    return lam_b, alpha_b
 
 
-def _evaluate(coeffs: Sequence[np.ndarray], blocks: Sequence[tuple], lam_b: dict, alpha: dict) -> np.ndarray:
+def _evaluate(
+    coeffs: Sequence[np.ndarray], blocks: Sequence[tuple], lam_b: dict, alpha_b: dict, states: list
+) -> np.ndarray:
     """Insert a lambda per singleton and apply an alpha across each pair.
 
     `coeffs` is b_0..b_n and `blocks` lists (block, color, depth) in canonical
     order, partitioning the X positions {1..n}; each block draws its
-    parameters from the `_tables` of its color at that depth.
+    parameters from the `_tables` of its color at that depth.  `states[p]` is
+    the state after the first p blocks, (running product, open pairs as a
+    linked tuple (product before the pair, its alpha_b, its closer, outer
+    pairs)); evaluation resumes from the last entry and appends the rest.
     """
-    out = coeffs[0]
-    opened = []  # (product before the pair, its alpha, its closer), innermost last
-    for blk, c, k in blocks:
-        while opened and opened[-1][2] < blk[0]:
-            before, a, q = opened.pop()
-            out = before @ (a @ out.ravel()).reshape(out.shape) @ coeffs[q]
+    out, opened = states[-1]
+    for blk, c, k in blocks[len(states) - 1 :]:
+        while opened and opened[2] < blk[0]:
+            before, a, _, opened = opened
+            out = before @ (a @ out.ravel()).reshape(out.shape)
         if len(blk) == 1:
             out = out @ lam_b[c][k - 1][blk[0]]
         else:
-            opened.append((out, alpha[c][k - 1], blk[1]))
+            opened = (out, alpha_b[c][k - 1][blk[1]], blk[1], opened)
             out = coeffs[blk[0]]
-    for before, a, q in reversed(opened):
-        out = before @ (a @ out.ravel()).reshape(out.shape) @ coeffs[q]
+        states.append((out, opened))
+    while opened:
+        before, a, _, opened = opened
+        out = before @ (a @ out.ravel()).reshape(out.shape)
     return out
 
 
@@ -184,7 +191,8 @@ def evaluate_partition(
     """The term of `p` in the partition sum: each block draws its parameters from
     `params[color]` at its reset depth (the absolute depth for one color)."""
     coeffs = _checked_coeffs(next(iter(params.values())).algebra, coeffs)
-    return _evaluate(coeffs, list(zip(p.base.blocks, p.color, relative_depths(p))), *_tables(coeffs, params))
+    blocks = list(zip(p.base.blocks, p.color, relative_depths(p)))
+    return _evaluate(coeffs, blocks, *_tables(coeffs, params), [(coeffs[0], None)])
 
 
 def _checked_coeffs(algebra: Algebra, coeffs: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -206,7 +214,8 @@ def nc_sum(
     allowed at both ends of each block; colors[i-1] lists the colors allowed
     at position i.  The entry of every partition-sum engine: it checks the
     degree against the cap and the coefficients against the algebra, then
-    tabulates the parameters once for every term (`_tables`).
+    tabulates the parameters once for every term (`_tables`).  Each term
+    resumes from the state after the blocks it shares with the previous one.
 
     When every lambda through degree n is exactly zero, singleton blocks
     contribute nothing and the sum runs over pairings only.
@@ -216,9 +225,14 @@ def nc_sum(
     coeffs = _checked_coeffs(next(iter(params.values())).algebra, coeffs)
     pairs_only = not any(np.any(par.lam(i)) for par in params.values() for i in range(1, n + 1))
     total = np.zeros_like(coeffs[0])
-    lam_b, alpha = _tables(coeffs, params)
+    tables, states, prev = _tables(coeffs, params), [(coeffs[0], None)], ()
     for blocks in _colored_nc12(n, colors, pairs_only):
-        total += _evaluate(coeffs, blocks, lam_b, alpha)
+        shared = 0  # consecutive partitions share a prefix, since they come depth-first
+        while shared < len(prev) and blocks[shared] == prev[shared]:
+            shared += 1
+        del states[shared + 1 :]
+        total += _evaluate(coeffs, blocks, *tables, states)
+        prev = blocks
     return total
 
 
@@ -421,8 +435,8 @@ def cf_series(params: JacobiParams, k: int, b: np.ndarray, degree: int) -> list[
     zero, one = np.zeros((d, d), dtype=complex), params.algebra.unit()
     nterm = degree + 1
     s = [one] + [zero] * (degree)
+    tb = ([zero, b] + [zero] * degree)[:nterm]  # the series t*b
     for i in range(k, 0, -1):
-        tb = [zero, b] + [zero] * (degree - 1)  # the series t*b
         tbs = _series_mul(tb, s)
         alpha_tbs = [params.alpha(i)(c) for c in tbs]
         lam_tb = [params.lam(i) @ c for c in tb]

@@ -320,18 +320,14 @@ def two_by_two_model_check(lam: float, gam: float, terms: int = 40) -> dict:
     big = np.diag([lam, gam]).astype(complex)
     binv = np.linalg.inv(big)
 
-    def diag_part(mat):
-        return np.diag(np.diag(mat))
-
     # G_mu from the matrix model, G_{mu boxplus mu} from the central-binomial series
-    g_series = np.zeros((2, 2), dtype=complex)
-    g_conv_series = np.zeros((2, 2), dtype=complex)
-    pw = np.eye(2, dtype=complex)
-    for n in range(terms):
-        term = binv @ diag_part(pw)
-        g_series += term
-        g_conv_series += comb(2 * n, n) * term
-        pw = pw @ a @ binv @ a @ binv  # advance two moment degrees
+    step = a @ binv @ a @ binv  # advances two moment degrees
+    pw = np.eye(2, dtype=complex)[None]
+    while len(pw) < terms:  # doubling: pw[m] = step^m
+        pw = np.concatenate((pw, pw @ (pw[-1] @ step)))
+    series = binv @ (pw[:terms] * np.eye(2))
+    g_series = series.sum(axis=0)
+    g_conv_series = np.tensordot([float(comb(2 * n, n)) for n in range(terms)], series, axes=1)
     g_closed = np.diag([1 / (lam - 1 / gam), 1 / (gam - 1 / lam)]).astype(complex)
 
     # F_{mu boxplus mu} closed form, principal branch with the asymptotic sign
@@ -396,10 +392,11 @@ def colored_word_to_json(w: ColoredWord) -> dict:
 def colored_word_from_json(obj) -> ColoredWord:
     alg = algebra_from_json(obj["algebra"])
     key = {1: BLUE, 2: RED, BLUE: BLUE, RED: RED}
-    try:
-        colors = [key[c] for c in obj["colors"]]
-    except KeyError as exc:
-        raise ValueError(f"colors must be 1 (blue) or 2 (red), got {exc}") from None
+    # true and 2.0 hash like 1 and 2, so the type is checked before the lookup
+    bad = [c for c in obj["colors"] if type(c) not in (int, str) or c not in key]
+    if bad:
+        raise ValueError(f"colors must be 1 (blue) or 2 (red), got {bad[0]!r}")
+    colors = [key[c] for c in obj["colors"]]
     return colored_word(
         alg,
         [matrix_from_json(e["entries"]) for e in obj["coeffs"]],

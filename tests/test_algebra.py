@@ -8,6 +8,7 @@ from ncfree.algebra import (
     LinMap,
     algebra_from_json,
     algebra_to_json,
+    complex_from_json,
     flip_map,
     gram_psd_check,
     is_self_adjoint,
@@ -115,6 +116,18 @@ def test_algebra_json_roundtrip():
     for kind, dim in (("full", 2), ("diagonal", 3)):
         alg = Algebra(kind, dim)
         assert algebra_from_json(algebra_to_json(alg)) == alg
+
+
+def test_complex_json_accepts_numbers_and_pairs():
+    assert complex_from_json(2) == 2
+    assert complex_from_json(-0.5) == -0.5
+    assert complex_from_json([1, -2.5]) == 1 - 2.5j
+
+
+@pytest.mark.parametrize("v", ["1", True, None, [1], [1, 2, 3], ["1", 0], [0, False], {"re": 1}, (1, 2)])
+def test_complex_json_rejects_non_numbers(v):
+    with pytest.raises(ValueError, match="number or an \\[re, im\\] pair"):
+        complex_from_json(v)
 
 
 @pytest.mark.parametrize("dim", [2.7, 2.0, True, "2", None])

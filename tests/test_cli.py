@@ -211,6 +211,14 @@ def test_non_integer_dim_is_usage_error(tmp_path, capsys):
     assert "dim must be an integer" in capsys.readouterr().err
 
 
+def test_non_number_matrix_entry_is_usage_error(tmp_path, capsys):
+    word = word_to_json(ALG1, [ONE1] * 3)
+    word["coeffs"][1]["entries"] = [["1"]]
+    wf = write_json(tmp_path, "w.json", word)
+    assert main(["moments", "--params", semicircular_file(tmp_path), "--word", wf]) == 2
+    assert "number or an [re, im] pair" in capsys.readouterr().err
+
+
 # -- verify -----------------------------------------------------------------------
 
 

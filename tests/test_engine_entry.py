@@ -184,6 +184,30 @@ def test_evaluate_partition_matches_per_block_formula(kind, d, heads, n, seed, p
     assert_negligible(evaluate_partition(coeffs, p, params), reference_term(coeffs, blocks, params))
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from(["full", "diagonal"]),
+    d=st.sampled_from([1, 2, 3]),
+    heads=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    colors=st.lists(st.sampled_from([(BLUE,), (RED,), (BLUE, RED)]), max_size=7),
+    zero_lambda=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_resumed_sum_matches_per_partition_terms(kind, d, heads, colors, zero_lambda, seed):
+    # nc_sum resumes each term from the prefix it shares with the previous partition
+    rng = np.random.default_rng(seed)
+    alg = Algebra(kind, d)
+    params = {}
+    for c, head in zip((BLUE, RED), heads):
+        p = rand_params(rng, alg, head)
+        if zero_lambda:  # the pairs-only path
+            p = JacobiParams(alg, (alg.zero(),) * head, p.head_alpha, alg.zero(), p.tail_alpha)
+        params[c] = p
+    coeffs = [rand_element(rng, alg) for _ in range(len(colors) + 1)]
+    want = sum(reference_term(coeffs, blocks, params) for blocks in _colored_nc12(len(colors), colors))
+    assert_negligible(nc_sum(coeffs, colors, params), want)
+
+
 @pytest.mark.parametrize("kind", ["full", "diagonal"])
 def test_pairs_only_sum_matches_per_block_formula(kind):
     # every lambda is exactly zero, so nc_sum skips the partitions with a singleton

@@ -173,6 +173,13 @@ def test_cf_series_exact_for_truncated_params():
         assert np.allclose(ser[i], ms[i], atol=1e-8)
 
 
+def test_cf_series_degree_zero_is_the_unit():
+    for k in (1, 3):
+        ser = cf_series(rand_params(), k, rand_sa(), 0)
+        assert len(ser) == 1
+        assert np.array_equal(ser[0], np.eye(2))
+
+
 def test_cf_numeric_cauchy_in_k():
     p = rand_params()
     b = 0.05 * rand_sa()

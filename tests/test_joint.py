@@ -1,5 +1,6 @@
 import json
 from itertools import product
+from math import comb
 
 import numpy as np
 import pytest
@@ -378,6 +379,25 @@ def test_two_by_two_closed_forms():
     assert rep["subordination_residual"] < 1e-10
 
 
+@pytest.mark.parametrize(
+    "lam, gam, terms", [(3.0, 2.0, 0), (3.0, 2.0, 1), (3.0, 2.0, 80), (-2.5, 4.0, 33), (5.0, -1.0, 89)]
+)
+def test_two_by_two_series_match_term_by_term_loop(lam, gam, terms):
+    rep = two_by_two_model_check(lam, gam, terms=terms)
+    a = np.array([[0, 1], [1, 0]], dtype=complex)
+    binv = np.linalg.inv(np.diag([lam, gam]).astype(complex))
+    g_series, g_conv_series = np.zeros((2, 2), dtype=complex), np.zeros((2, 2), dtype=complex)
+    pw = np.eye(2, dtype=complex)
+    for n in range(terms):
+        term = binv @ np.diag(np.diag(pw))
+        g_series += term
+        g_conv_series += comb(2 * n, n) * term
+        pw = pw @ a @ binv @ a @ binv
+    for got, want in ((rep["g_mu_series"], g_series), (rep["g_conv_series"], g_conv_series)):
+        assert got.shape == (2, 2)
+        assert negligible(got - want, got, want)
+
+
 def test_two_by_two_equal_entries_reduces_to_arcsine():
     # lam = gam = z: entries of G_{mu plus mu} equal the arcsine transform
     z = 3.0
@@ -401,3 +421,11 @@ def test_colored_word_json_roundtrip():
     # string colors also accepted on input
     obj["colors"] = ["b", "r", "b"]
     assert colored_word_from_json(obj).colors == w.colors
+
+
+@pytest.mark.parametrize("color", [True, False, 2.0, 1.0, 3, 0, "blue", None, [1]])
+def test_colored_word_json_rejects_other_colors(color):
+    obj = colored_word_to_json(colored_word(ALG2, [np.eye(2)] * 3, [BLUE, RED]))
+    obj["colors"] = [1, color]
+    with pytest.raises(ValueError, match="colors must be 1 \\(blue\\) or 2 \\(red\\)"):
+        colored_word_from_json(obj)
