@@ -244,6 +244,8 @@ def moment(params: JacobiParams, coeffs: Sequence[np.ndarray]) -> np.ndarray:
 
 def moment_sequence(params: JacobiParams, b: np.ndarray, degree: int) -> list[np.ndarray]:
     """Coefficients mu[(X b)^n] of the moment generating series, n = 0..degree."""
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
     one = params.algebra.unit()
     out = [one]
     for n in range(1, degree + 1):
@@ -430,6 +432,8 @@ def _series_inv(x: list[np.ndarray]) -> list[np.ndarray]:
 def cf_series(params: JacobiParams, k: int, b: np.ndarray, degree: int) -> list[np.ndarray]:
     """Formal expansion of the depth-k continued fraction: coefficient n is
     the degree-n term of the approximant evaluated at t*b, as a series in t."""
+    if k < 1 or degree < 0:
+        raise ValueError("k >= 1 and degree >= 0 required")
     b = np.asarray(b, dtype=complex)
     d = params.algebra.dim
     zero, one = np.zeros((d, d), dtype=complex), params.algebra.unit()

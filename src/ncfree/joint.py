@@ -201,6 +201,8 @@ class MomentTable:
 
     def sequence(self, b: np.ndarray, degree: Optional[int] = None) -> list[np.ndarray]:
         degree = self.degree if degree is None else degree
+        if degree < 0:
+            raise ValueError(f"degree must be >= 0, got {degree}")
         one = self.algebra.unit()
         return [self([one] + [b] * n) for n in range(degree + 1)]
 

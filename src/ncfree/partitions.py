@@ -176,19 +176,6 @@ def enumerate_tcnc_depth(n: int, k: int, l: int, pairs_only: bool = False) -> It
         yield ColoredPartition(base, tuple(c for _, c, _ in blocks))
 
 
-def odd_compositions(p: int, q: int) -> Iterator[tuple[int, ...]]:
-    """All ordered q-tuples of odd positive integers summing to p."""
-    if q == 0:
-        if p == 0:
-            yield ()
-        return
-    if p < q or (p - q) % 2:
-        return
-    for first in range(1, p - q + 2, 2):
-        for rest in odd_compositions(p - first, q - 1):
-            yield (first,) + rest
-
-
 def count_family(family: str, n: int, k: Optional[int] = None, l: Optional[int] = None) -> int:
     """Exact size of a partition family, by enumeration."""
     one, two, inf = [(BLUE,)] * n, [(BLUE, RED)] * n, math.inf

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import negligible
-from .partitions import enumerate_nc12, odd_compositions
+from .partitions import BLUE, _colored_nc12
 
 
 # ---------------------------------------------------------------------------
@@ -40,6 +40,8 @@ def chebyshev_u_coeffs(k: int) -> list[int]:
 
 
 def chebyshev_u(k: int, z) -> complex:
+    if k < 0:
+        raise ValueError("k must be >= 0")
     prev, cur = 1.0 + 0j, complex(z)
     if k == 0:
         return prev
@@ -144,7 +146,7 @@ def _conv(a: Sequence, b: Sequence, degree: int) -> list:
 def moments_to_cumulants(m: Sequence) -> list:
     """kappa_1..kappa_N from m_0=1, m_1..m_N via
     m_n = sum_s kappa_s * [coefficient of z^{n-s} in M(z)^s]."""
-    if m[0] != 1:
+    if not m or m[0] != 1:
         raise ValueError("m_0 must be 1")
     n_max = len(m) - 1
     kappa = [None]  # 1-indexed
@@ -160,27 +162,31 @@ def moments_to_cumulants(m: Sequence) -> list:
 
 
 def cumulants_to_moments(kappa: Sequence) -> list:
-    """Inverse transform: rebuild m_0..m_N from kappa_1..kappa_N."""
-    n_max = len(kappa)
-    m = [kappa[0] * 0 + 1]
-    for n in range(1, n_max + 1):
-        acc = m[0] * 0
+    """Inverse transform: rebuild m_0..m_N from kappa_1..kappa_N.
+
+    The z^{n-s} coefficient of M(z)^s needs m_0..m_{n-s} only, so at degree n
+    every power M^s grows by that one coefficient from M^{s-1} and m."""
+    if not kappa:
+        raise ValueError("need kappa_1 at least")
+    zero = kappa[0] * 0
+    m = [zero + 1]
+    powers = [[1] + [0] * len(kappa)]  # powers[s]: the coefficients of M^s known so far
+    for n in range(1, len(kappa) + 1):
+        powers.append([])
         for s in range(1, n + 1):
-            # coefficient of z^{n-s} in M(z)^s, with M known through degree n-1
-            pw = [1] + [0] * (n - s)
-            for _ in range(s):
-                pw = _conv(pw, m + [m[0] * 0] * (n - s), n - s)
-            acc = acc + kappa[s - 1] * pw[n - s]
-        m.append(acc)
+            powers[s].append(sum(powers[s - 1][j] * m[n - s - j] for j in range(n - s + 1)))
+        m.append(sum((kappa[s - 1] * powers[s][n - s] for s in range(1, n + 1)), zero))
     return m
 
 
 def free_convolve_scalar(m1: Sequence, m2: Sequence, degree: int) -> list:
     """Moments of the free convolution: add free cumulants, convert back."""
-    if len(m1) <= degree or len(m2) <= degree:
-        raise ValueError("need moments through the requested degree")
+    if degree < 0 or len(m1) <= degree or len(m2) <= degree:
+        raise ValueError("need a degree >= 0 and moments through it")
     k1 = moments_to_cumulants(list(m1[: degree + 1]))
     k2 = moments_to_cumulants(list(m2[: degree + 1]))
+    if degree == 0:  # no cumulants: the convolution has mass m_0 = 1
+        return [m1[0]]
     return cumulants_to_moments([a + b for a, b in zip(k1, k2)])
 
 
@@ -266,48 +272,36 @@ def subordination_check(n: int, z: complex, series_degree: int = 24) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _odd_composition_sum(p: int, parts: int, m: Sequence[int]) -> int:
-    """sum over compositions of p into `parts` odd parts of the products
-    m_{part-1}; the empty composition contributes 1 when p = parts = 0."""
-    if parts == 0:
-        return 1 if p == 0 else 0
-    total = 0
-    for compo in odd_compositions(p, parts):
-        prod = 1
-        for part in compo:
-            prod *= m[part - 1]
-        total += prod
-    return total
-
-
 def tcnc_recursion(k: int, n_max: int, trace: bool = False):
     """Even moments M^{(k)}_{2n} of nu_k boxplus nu_k for n = 1..n_max, via
     the subordination recursion M_{2n} = S_{n,k} - T_{n,k}; exact integers.
+
+    S and T sum products m_{part-1} of nu_{k-1} moments over compositions of
+    p into q odd parts; that sum is powers[q][p], the z^p coefficient of
+    O(z)^q with O(z) = sum_{j odd} m_{j-1} z^j.
 
     With trace=True, returns (values, [(n, S, T), ...]).
     """
     if k < 2 or n_max < 1:
         raise ValueError("k >= 2 and n_max >= 1 required")
-    m = nu_moments(k - 1, 2 * n_max + 2)
-    big_m = {0: 1}
+    m = nu_moments(k - 1, 2 * n_max)
+    odd = [m[j - 1] if j % 2 else 0 for j in range(2 * n_max + 1)]
+    powers = [[1] + [0] * (2 * n_max)]
+    for _ in range(n_max):
+        powers.append(_conv(powers[-1], odd, 2 * n_max))
     log = []
     out = []
     for n in range(1, n_max + 1):
-        s = 2 * sum(
-            comb(2 * n - 1, i) * _odd_composition_sum(i, 2 * n - i, m)
-            for i in range(n, 2 * n)
-        )
+        s = 2 * sum(comb(2 * n - 1, i) * powers[2 * n - i][i] for i in range(n, 2 * n))
         t = 0
         for j in range(1, n - 1):
-            inner = 0
-            for p in range(n - j - 1, 2 * (n - j)):
-                r_hi = _odd_composition_sum(p + 1, 2 * (n - j) - (p + 1), m)
-                r_lo = _odd_composition_sum(p, 2 * (n - j) - p, m)
-                inner += comb(2 * (n - j) - 1, p) * (r_hi - r_lo)
-            t += big_m[2 * j] * inner
-        val = s - t
-        big_m[2 * n] = val
-        out.append(val)
+            h = n - j
+            inner = sum(
+                comb(2 * h - 1, p) * (powers[2 * h - p - 1][p + 1] - powers[2 * h - p][p])
+                for p in range(h - 1, 2 * h)
+            )
+            t += out[j - 1] * inner  # out[j - 1] = M_{2j}
+        out.append(s - t)
         log.append((n, s, t))
     return (out, log) if trace else out
 
@@ -339,8 +333,8 @@ def tcnc_table(k_max: int, n_max: int) -> list[tuple[str, list[int]]]:
 def free_binomial_closed(n: int, t) -> Fraction:
     """Closed formula for m_n(t)."""
     t = Fraction(t)
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    if t < 1 or n < 0:
+        raise ValueError("t >= 1 and n >= 0 required")
     if n == 0:
         return Fraction(1)
     acc = t ** (2 * n)
@@ -353,10 +347,8 @@ def free_binomial_series(t, degree: int) -> list[Fraction]:
     """Coefficients of (t - 2 - t*sqrt(1 - 4(t-1)z^2)) / (2(t^2 z^2 - 1))
     about z = 0, exact; odd coefficients vanish."""
     t = Fraction(t)
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    if degree > 40:
-        raise ValueError("series degree limited to 40")
+    if t < 1 or not 0 <= degree <= 40:
+        raise ValueError("t >= 1 and a series degree in 0..40 required")
     n_half = degree // 2 + 1
     # sqrt(1+u) = sum binom(1/2, j) u^j with u = -4(t-1) z^2
     sqrt_even = []
@@ -365,9 +357,8 @@ def free_binomial_series(t, degree: int) -> list[Fraction]:
         sqrt_even.append(coeff * (-4 * (t - 1)) ** j)
         coeff = coeff * (Fraction(1, 2) - j) / (j + 1)
     numer = [Fraction(t - 2) - t * sqrt_even[0]] + [-t * c for c in sqrt_even[1:]]
-    # denominator 2(t^2 z^2 - 1) = -2(1 - t^2 z^2): geometric inverse
-    inv_den = [-Fraction(1, 2) * t ** (2 * i) for i in range(n_half)]
-    even = _conv(numer, inv_den, n_half - 1)
+    # in u = z^2 the denominator is 2(t^2 u - 1)
+    even = _poly_series_div(numer, [Fraction(-2), 2 * t * t], n_half - 1)
     out = []
     for d in range(degree + 1):
         out.append(even[d // 2] if d % 2 == 0 else Fraction(0))
@@ -378,13 +369,8 @@ def free_binomial_enumeration(n: int, t) -> Fraction:
     """sum over pairings of 2n of t^{#outer pairs} (t-1)^{#inner pairs}."""
     t = Fraction(t)
     total = Fraction(0)
-    for p in enumerate_nc12(2 * n, pairs_only=True):
-        pairs = p.pairs
-        outer = sum(
-            1
-            for (a, b) in pairs
-            if not any(c < a and b < d for (c, d) in pairs)
-        )
+    for blocks in _colored_nc12(2 * n, [(BLUE,)] * (2 * n), pairs_only=True):
+        outer = sum(1 for _, _, depth in blocks if depth == 1)
         total += t**outer * (t - 1) ** (n - outer)
     return total
 

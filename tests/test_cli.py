@@ -64,6 +64,12 @@ def test_count_tcnc2_recursion_single(capsys):
     assert capsys.readouterr().out.strip() == "1"
 
 
+def test_count_tcnc2_all_methods_at_degree_zero(capsys):
+    rc = main(["count", "--family", "TCNC2", "--n", "0", "--k", "3", "--l", "3", "--method", "all"])
+    assert rc == 0
+    assert capsys.readouterr().out.split() == ["1", "1", "1"]
+
+
 def test_count_all_methods_skip_recursion_below_depth_two(capsys):
     rc = main(["count", "--family", "TCNC2", "--n", "4", "--k", "1", "--l", "1", "--method", "all"])
     assert rc == 0

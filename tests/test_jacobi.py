@@ -180,6 +180,12 @@ def test_cf_series_degree_zero_is_the_unit():
         assert np.array_equal(ser[0], np.eye(2))
 
 
+@pytest.mark.parametrize("k, degree", [(1, -1), (0, 3), (-1, 3), (0, 0)])
+def test_cf_series_rejects_bad_depth_or_degree(k, degree):
+    with pytest.raises(ValueError):
+        cf_series(scalar_jacobi(tail_alpha=1.0), k, ONE1, degree)
+
+
 def test_cf_numeric_cauchy_in_k():
     p = rand_params()
     b = 0.05 * rand_sa()

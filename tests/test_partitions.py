@@ -18,7 +18,6 @@ from ncfree.partitions import (
     enumerate_nc12_depth,
     enumerate_tcnc,
     enumerate_tcnc_depth,
-    odd_compositions,
     relative_depths,
     tcnc_depth_ok,
 )
@@ -127,15 +126,6 @@ def test_depth_filter_matches_predicate():
             }
             filtered = {str(cp) for cp in enumerate_tcnc_depth(n, k, l)}
             assert direct == filtered
-
-
-def test_odd_compositions():
-    assert set(odd_compositions(5, 3)) == {(1, 1, 3), (1, 3, 1), (3, 1, 1)}
-    assert list(odd_compositions(0, 0)) == [()]
-    assert list(odd_compositions(3, 0)) == []
-    assert list(odd_compositions(2, 2)) == [(1, 1)]
-    # parity obstruction: 4 into 3 odd parts is impossible
-    assert list(odd_compositions(4, 3)) == []
 
 
 def test_text_format():

@@ -1,11 +1,15 @@
 from fractions import Fraction
+from itertools import product
+from math import comb, prod
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncfree.jacobi import scalar_jacobi, scalar_moments
+from ncfree.algebra import negligible
+from ncfree.jacobi import moment_sequence, scalar_jacobi, scalar_moments
+from ncfree.joint import params_moment_table
 from ncfree.partitions import count_family
 from ncfree.scalar import (
     AtomicMeasure,
@@ -121,6 +125,34 @@ def test_cumulant_roundtrip(ms):
     assert cumulants_to_moments(kappa) == moments
 
 
+def old_cumulants_to_moments(kappa):
+    """The former transform, which rebuilt every power of M anew at each degree."""
+    m = [kappa[0] * 0 + 1]
+    for n in range(1, len(kappa) + 1):
+        acc = m[0] * 0
+        for s in range(1, n + 1):
+            pw = [1] + [0] * (n - s)
+            for _ in range(s):
+                pw = [sum(pw[j] * m[d - j] for j in range(d + 1)) for d in range(n - s + 1)]
+            acc = acc + kappa[s - 1] * pw[n - s]
+        m.append(acc)
+    return m
+
+
+def test_cumulant_roundtrip_to_degree_60():
+    m = nu_moments(5, 60)
+    assert cumulants_to_moments(moments_to_cumulants(m)) == m
+
+
+def test_cumulants_to_moments_matches_former_loop_on_complex_input():
+    gen = np.random.default_rng(11)
+    for n in (1, 2, 5, 9, 14):
+        kappa = [complex(a, b) for a, b in gen.normal(size=(n, 2))]
+        got, want = cumulants_to_moments(kappa), old_cumulants_to_moments(kappa)
+        assert len(got) == n + 1
+        assert negligible(np.subtract(got, want), got, want)
+
+
 def test_free_convolution_reproduces_table_rows():
     for k in (2, 5):
         m = nu_moments(k, 12)
@@ -158,6 +190,41 @@ def test_tcnc_recursion_reproduces_table():
         assert rec == row
         for n2 in (2, 4, 6, 8):
             assert count_family("TCNC2^{k,l}", n2, k=k, l=k) == rec[n2 // 2 - 1]
+
+
+def reference_trace(k, n_max):
+    """S_{n,k} and T_{n,k} with every odd-composition sum enumerated."""
+    m = nu_moments(k - 1, 2 * n_max)
+
+    def odd_sum(p, q):  # compositions of p into q odd parts, weighted by m_{part-1}
+        parts = range(1, p - q + 2, 2)
+        return sum(prod(m[c - 1] for c in comp) for comp in product(parts, repeat=q) if sum(comp) == p)
+
+    vals, log = [], []
+    for n in range(1, n_max + 1):
+        s = 2 * sum(comb(2 * n - 1, i) * odd_sum(i, 2 * n - i) for i in range(n, 2 * n))
+        t = 0
+        for j in range(1, n - 1):
+            h = n - j
+            for p in range(h - 1, 2 * h):
+                t += vals[j - 1] * comb(2 * h - 1, p) * (odd_sum(p + 1, 2 * h - p - 1) - odd_sum(p, 2 * h - p))
+        vals.append(s - t)
+        log.append((n, s, t))
+    return vals, log
+
+
+def test_tcnc_recursion_matches_enumerated_compositions():
+    for k in range(2, 9):
+        vals, log = reference_trace(k, 8)
+        for n_max in range(1, 9):
+            assert tcnc_recursion(k, n_max, trace=True) == (vals[:n_max], log[:n_max])
+
+
+def test_tcnc_recursion_matches_cumulants_to_degree_40():
+    for k in range(2, 7):
+        m = nu_moments(k, 40)
+        conv = free_convolve_scalar(m, m, 40)
+        assert tcnc_recursion(k, 20) == [conv[2 * n] for n in range(1, 21)]
 
 
 def test_tcnc_recursion_trace_m3():
@@ -207,3 +274,31 @@ def test_free_binomial_t2_central_binomial():
 
     for n in range(8):
         assert free_binomial_closed(n, 2) == comb(2 * n, n)
+
+
+# -- negative orders ----------------------------------------------------------------
+
+UNIT_LAW = scalar_jacobi(tail_alpha=1.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: free_binomial_closed(-1, 2), id="free_binomial_closed"),
+        pytest.param(lambda: chebyshev_u(-1, 0.5), id="chebyshev_u"),
+        pytest.param(lambda: moment_sequence(UNIT_LAW, np.eye(1), -1), id="moment_sequence"),
+        pytest.param(lambda: scalar_moments(UNIT_LAW, -1), id="scalar_moments"),
+        pytest.param(lambda: params_moment_table(UNIT_LAW, 3).sequence(np.eye(1), -1), id="MomentTable.sequence"),
+        pytest.param(lambda: moments_to_cumulants([]), id="moments_to_cumulants"),
+        pytest.param(lambda: cumulants_to_moments([]), id="cumulants_to_moments"),
+        pytest.param(lambda: free_convolve_scalar([1, 0, 1], [1, 0, 1], -1), id="free_convolve_scalar"),
+        pytest.param(lambda: free_binomial_series(2, -1), id="free_binomial_series"),
+    ],
+)
+def test_negative_order_is_rejected(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_free_convolution_at_degree_zero_is_the_unit_mass():
+    assert free_convolve_scalar([1, 0, 1], [1, 2], 0) == [1]
