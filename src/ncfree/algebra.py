@@ -12,6 +12,7 @@ Every numerical verdict in the package goes through one relative rule,
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -20,12 +21,13 @@ import numpy as np
 TOL = 1e-8  # about sqrt(machine epsilon): half the float64 digits
 
 
-def negligible(x, *scale) -> bool:
+def negligible(x, *scale, axis=None) -> bool:
     """No entry of `x` exceeds TOL times the largest entry of the `scale`
     operands, the inputs that produced `x`; `a` and `b` are close when
-    negligible(a - b, a, b).  Against a zero scale only zero is negligible."""
-    sizes = [np.max(np.abs(v), initial=0.0) for v in scale]
-    return bool(np.max(np.abs(x), initial=0.0) <= TOL * max(sizes, default=0.0))
+    negligible(a - b, a, b).  Against a zero scale only zero is negligible.
+    With `axis`, each slice over those axes is judged on its own."""
+    bound = functools.reduce(np.maximum, (np.max(np.abs(v), axis=axis, initial=0.0) for v in scale), 0.0)
+    return bool((np.max(np.abs(x), axis=axis, initial=0.0) <= TOL * bound).all())
 
 
 @dataclass(frozen=True)
@@ -54,10 +56,11 @@ class Algebra:
             return [unit_matrix(d, i, i) for i in range(d)]
         return [unit_matrix(d, i, j) for i in range(d) for j in range(d)]
 
-    def contains(self, mat: np.ndarray) -> bool:
-        if mat.shape != (self.dim, self.dim):
+    def contains(self, mat: np.ndarray, stacked: bool = False) -> bool:
+        """Whether `mat` lies in the algebra; with `stacked`, whether each matrix of a stack (..., d, d) does."""
+        if mat.shape[-2:] != (self.dim, self.dim) or (mat.ndim > 2 and not stacked):
             return False
-        return self.kind == "full" or negligible(_off_diagonal(mat), mat)
+        return self.kind == "full" or negligible(_off_diagonal(mat), mat, axis=(-2, -1))
 
 
 def unit_matrix(d: int, i: int, j: int) -> np.ndarray:
@@ -67,7 +70,7 @@ def unit_matrix(d: int, i: int, j: int) -> np.ndarray:
 
 
 def _off_diagonal(mat: np.ndarray) -> np.ndarray:
-    return mat - np.diag(np.diag(mat))
+    return np.where(np.eye(mat.shape[-1], dtype=bool), 0, mat)
 
 
 def is_self_adjoint(mat: np.ndarray) -> bool:
@@ -230,6 +233,17 @@ def gram_psd_check(grid: Sequence[Sequence[np.ndarray]]) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def json_loader(load: Callable) -> Callable:
+    """Decorate a JSON loader: a value of the wrong JSON type (a list for an object, say) is a ValueError."""
+    @functools.wraps(load)
+    def checked(*args):
+        try:
+            return load(*args)
+        except TypeError as exc:
+            raise ValueError(f"JSON value of the wrong type: {exc}") from None
+    return checked
+
+
 def complex_to_json(z: complex) -> list[float]:
     z = complex(z)
     return [z.real, z.imag]
@@ -259,6 +273,7 @@ def algebra_to_json(alg: Algebra) -> dict:
     return {"kind": alg.kind, "dim": alg.dim}
 
 
+@json_loader
 def algebra_from_json(obj) -> Algebra:
     dim = obj["dim"]
     if type(dim) is not int:  # a JSON integer; bool is a subclass of int
@@ -276,6 +291,7 @@ def linmap_to_json(m: LinMap) -> dict:
     return {"dense": matrix_to_json(m.dense)}
 
 
+@json_loader
 def linmap_from_json(algebra: Algebra, obj) -> LinMap:
     if "kraus" in obj:
         return LinMap.from_kraus(algebra, [matrix_from_json(a) for a in obj["kraus"]])

@@ -154,8 +154,8 @@ def cmd_joint(args) -> int:
     obj = _load_json(args.model)
     try:
         model = JointModel(params_from_json(obj["params1"]), params_from_json(obj["params2"]))
-    except KeyError as exc:
-        raise UsageError(f"model file missing {exc}") from None
+    except (KeyError, TypeError) as exc:  # a field missing, or JSON of another type than an object
+        raise UsageError(f"model file needs the objects params1 and params2 ({exc})") from None
     word = colored_word_from_json(_load_json(args.word))
     if word.algebra != model.algebra:
         raise UsageError("word and model use different algebras")

@@ -25,6 +25,7 @@ from .algebra import (
     algebra_to_json,
     element_to_json,
     is_self_adjoint,
+    json_loader,
     linmap_from_json,
     linmap_to_json,
     matrix_from_json,
@@ -138,24 +139,26 @@ def scalar_jacobi(
 # ---------------------------------------------------------------------------
 
 
-def _tables(coeffs: Sequence[np.ndarray], params: Mapping[str, JacobiParams]) -> tuple[dict, dict]:
+def _tables(coeffs: np.ndarray, params: Mapping[str, JacobiParams]) -> tuple[dict, dict, Callable]:
     """Per color c and depth k = 1..n: lam_b[c][k-1][i] = lambda_k @ b_i, and alpha_b[c][k-1][q] sends
-    the row-major `ravel(X)` to `ravel(alpha_k(X) @ b_q)`.  Past the head every depth shares the head+1 entry."""
-    n, stack = len(coeffs) - 1, np.array(coeffs)
+    the row-major `ravel(X)` to `ravel(alpha_k(X) @ b_q)`.  Past the head every depth shares the head+1 entry.
+    Entries carry the batch shape of `coeffs`; `flat` makes X the column alpha_b acts on, a vector for one word."""
+    n, batch = len(coeffs) - 1, coeffs.shape[1:-2]
     lam_b, alpha_b = {}, {}
     for c, par in params.items():
         levels = range(1, min(n, max(len(par.head_lambda), len(par.head_alpha)) + 1) + 1)
-        lam_b[c] = [list(par.lam(k) @ stack) for k in levels]
+        lam_b[c] = [list(par.lam(k) @ coeffs) for k in levels]
         d = par.algebra.dim  # the dense form indexes entry (i, j) at j*d + i; the row-major one at i*d + j
         dense = np.array([par.alpha(k).dense for k in levels]).reshape((-1,) + (d,) * 4)
-        alpha_b[c] = list(np.einsum("kliyx,qlj->kqijxy", dense, stack).reshape(len(levels), n + 1, d * d, d * d))
+        by_closer = np.einsum("kliyx,q...lj->kq...ijxy", dense, coeffs)
+        alpha_b[c] = list(by_closer.reshape((len(levels), n + 1, *batch, d * d, d * d)))
         for table in (lam_b[c], alpha_b[c]):
             table += table[-1:] * (n - len(levels))
-    return lam_b, alpha_b
+    return lam_b, alpha_b, (lambda x: x.reshape(*batch, -1, 1)) if batch else np.ndarray.ravel
 
 
 def _evaluate(
-    coeffs: Sequence[np.ndarray], blocks: Sequence[tuple], lam_b: dict, alpha_b: dict, states: list
+    coeffs: Sequence[np.ndarray], blocks: Sequence[tuple], lam_b: dict, alpha_b: dict, flat: Callable, states: list
 ) -> np.ndarray:
     """Insert a lambda per singleton and apply an alpha across each pair.
 
@@ -170,7 +173,7 @@ def _evaluate(
     for blk, c, k in blocks[len(states) - 1 :]:
         while opened and opened[2] < blk[0]:
             before, a, _, opened = opened
-            out = before @ (a @ out.ravel()).reshape(out.shape)
+            out = before @ (a @ flat(out)).reshape(out.shape)
         if len(blk) == 1:
             out = out @ lam_b[c][k - 1][blk[0]]
         else:
@@ -179,7 +182,7 @@ def _evaluate(
         states.append((out, opened))
     while opened:
         before, a, _, opened = opened
-        out = before @ (a @ out.ravel()).reshape(out.shape)
+        out = before @ (a @ flat(out)).reshape(out.shape)
     return out
 
 
@@ -195,14 +198,18 @@ def evaluate_partition(
     return _evaluate(coeffs, blocks, *_tables(coeffs, params), [(coeffs[0], None)])
 
 
-def _checked_coeffs(algebra: Algebra, coeffs: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """The coefficients b_0..b_n (n >= 0) as complex arrays, each checked to live in the algebra."""
+def _checked_coeffs(algebra: Algebra, coeffs: Sequence[np.ndarray]) -> np.ndarray:
+    """The coefficients b_0..b_n (n >= 0) stacked as one complex array (n + 1, ..., d, d): each b_i may
+    carry a leading batch shape, broadcast with the others, and the stack is checked to live in B at once."""
     if len(coeffs) == 0:
         raise ValueError("a word needs at least one coefficient")
     coeffs = [np.asarray(c, dtype=complex) for c in coeffs]
-    if not all(algebra.contains(c) for c in coeffs):
+    if any(c.shape[-2:] != (algebra.dim,) * 2 for c in coeffs):  # broadcasting may stretch batch axes only
         raise ValueError("coefficients must live in the algebra")
-    return coeffs
+    stack = np.stack(np.broadcast_arrays(*coeffs))
+    if not algebra.contains(stack, stacked=True):
+        raise ValueError("coefficients must live in the algebra")
+    return stack
 
 
 def nc_sum(
@@ -216,16 +223,19 @@ def nc_sum(
     degree against the cap and the coefficients against the algebra, then
     tabulates the parameters once for every term (`_tables`).  Each term
     resumes from the state after the blocks it shares with the previous one.
+    Coefficients may carry a leading batch shape, broadcast together: a grid of
+    equal-length words shares one enumeration and one set of tables.
 
-    When every lambda through degree n is exactly zero, singleton blocks
-    contribute nothing and the sum runs over pairings only.
+    When lambda_1..lambda_n are exactly zero, singleton blocks contribute
+    nothing and the sum runs over pairings only.
     """
     n = len(coeffs) - 1
     check_degree(n)
     coeffs = _checked_coeffs(next(iter(params.values())).algebra, coeffs)
-    pairs_only = not any(np.any(par.lam(i)) for par in params.values() for i in range(1, n + 1))
+    pairs_only = not any(np.any(lam) for par in params.values() for lam in (*par.head_lambda, par.tail_lambda)[:n])
+    tables, coeffs = _tables(coeffs, params), list(coeffs)  # a list indexes faster in the block loop
     total = np.zeros_like(coeffs[0])
-    tables, states, prev = _tables(coeffs, params), [(coeffs[0], None)], ()
+    states, prev = [(coeffs[0], None)], ()
     for blocks in _colored_nc12(n, colors, pairs_only):
         shared = 0  # consecutive partitions share a prefix, since they come depth-first
         while shared < len(prev) and blocks[shared] == prev[shared]:
@@ -602,9 +612,8 @@ def free_binomial_word_moment(
     a = np.asarray(a, dtype=complex)
     if not negligible(expectation(a), a):
         raise ValueError("model requires E[a] = 0")
-    for e in algebra.basis():
-        if not algebra.contains(a @ e @ a):
-            raise ValueError("model requires a B a inside B")
+    if not algebra.contains(a @ np.array(algebra.basis()) @ a, stacked=True):
+        raise ValueError("model requires a B a inside B")
     coeffs = [np.asarray(c, dtype=complex) for c in coeffs]
     n = len(coeffs) - 1
     if n % 2:
@@ -661,6 +670,7 @@ def params_to_json(p: JacobiParams) -> dict:
     }
 
 
+@json_loader
 def params_from_json(obj) -> JacobiParams:
     alg = algebra_from_json(obj["algebra"])
     if type(obj.get("positive", False)) is not bool:  # a string such as "false" is no JSON boolean
@@ -682,7 +692,8 @@ def word_to_json(algebra: Algebra, coeffs: Sequence[np.ndarray]) -> dict:
     }
 
 
+@json_loader
 def word_from_json(obj) -> tuple[Algebra, list[np.ndarray]]:
     alg = algebra_from_json(obj["algebra"])
     coeffs = [matrix_from_json(e["entries"]) for e in obj["coeffs"]]
-    return alg, _checked_coeffs(alg, coeffs)
+    return alg, list(_checked_coeffs(alg, coeffs))

@@ -17,7 +17,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .algebra import Algebra, LinMap, algebra_from_json, algebra_to_json, element_to_json, matrix_from_json, negligible
+from .algebra import (Algebra, LinMap, algebra_from_json, algebra_to_json, element_to_json, json_loader,
+                      matrix_from_json, negligible)
 from .jacobi import (
     DegreeCapError,
     JacobiParams,
@@ -127,14 +128,17 @@ def joint_moment_free_recursion(model: JointModel, w: ColoredWord) -> np.ndarray
     check_degree(w.degree)
     alg = model.algebra
     one = alg.unit()
-    memo: dict = {}
+    memo: dict = {}  # rec's results under its (colors, coeffs) key, each run's marginal under (color, coeffs)
 
     def key(coeffs, colors):
         return colors, b"".join(np.asarray(c).tobytes() for c in coeffs)
 
     def marginal_of_run(color, coeffs):
         # coeffs are the interior b_p..b_{q-1}; the run reads X b_p X ... b_{q-1} X
-        return moment(model.by_color[color], [one, *coeffs, one])
+        k = key(coeffs, color)  # the subsets repeat runs: each distinct marginal is computed once
+        if k not in memo:
+            memo[k] = moment(model.by_color[color], [one, *coeffs, one])
+        return memo[k]
 
     def rec(coeffs: tuple, colors: tuple) -> np.ndarray:
         if not colors:
@@ -244,11 +248,13 @@ def verify_jacobi_consistency(table: MomentTable) -> dict:
     basis = alg.basis()
     m = len(basis)
     d = alg.dim
+    grid = np.array(basis)  # each moment grid below is one engine call over stacked words
 
-    # the units of M_d outside B (off-diagonal ones, for D_d) get zero columns
-    beta1 = LinMap.from_action(alg, lambda b: table([one, b, one]) if alg.contains(b) else alg.zero())
+    # beta_1 on the basis; the units of M_d outside B get zero columns
+    images = dict(zip((e.tobytes() for e in basis), table([one, grid, one])))
+    beta1 = LinMap.from_action(alg, lambda b: images.get(b.tobytes(), alg.zero()))
     second = np.abs(beta1.dense)
-    third = [table([one, bi, bj, one]) for bi, bj in product(basis, repeat=2)]
+    third = table([one, grid[:, None], grid[None, :], one])
     if not (negligible(table([one, one]), np.sqrt(second)) and negligible(third, second**1.5)):
         raise ValueError("consistency test requires a symmetric (odd moments zero) table")
 
@@ -256,7 +262,7 @@ def verify_jacobi_consistency(table: MomentTable) -> dict:
     # through the same map c -> beta_1(b1 basis[c] b3): one design matrix serves
     # every j, with one right-hand side per j.
     pairs = list(product(range(m), repeat=2))
-    fourth = np.array([[table([one, basis[i], bj, basis[k], one]) for bj in basis] for i, k in pairs])
+    fourth = table([one, grid[:, None, None], grid[None, None, :], grid[None, :, None], one]).reshape(m * m, m, d, d)
     beta1_basis = [beta1(b) for b in basis]
     known = np.array([[beta1_basis[i] @ bj @ beta1_basis[k] for bj in basis] for i, k in pairs])
     lhs = fourth - known
@@ -272,15 +278,8 @@ def verify_jacobi_consistency(table: MomentTable) -> dict:
     worst = float(np.max(np.abs(residuals)))
 
     if negligible(residuals, fourth, known):
-        def beta2_action(b):
-            # expand b over the basis (orthogonal matrix units / diagonal units)
-            out = np.zeros((d, d), dtype=complex)
-            for j, ej in enumerate(basis):
-                w = np.sum(ej.conj() * b)
-                out = out + w * sum(x[c, j] * basis[c] for c in range(m))
-            return out
-
-        beta2 = LinMap.from_action(alg, beta2_action)
+        # beta_2 sends basis[j] to sum_c x[c, j] basis[c]; b has coordinates vdot(e, b) in the orthonormal basis
+        beta2 = LinMap.from_action(alg, lambda b: np.tensordot(x @ [np.vdot(e, b) for e in basis], grid, axes=1))
         return {"consistent": True, "beta1": beta1, "beta2": beta2, "residual": worst}
 
     # point at the worst coefficient triple
@@ -314,6 +313,8 @@ def two_by_two_model_check(lam: float, gam: float, terms: int = 40) -> dict:
     """
     if lam == 0 or gam == 0:
         raise ValueError("lambda and gamma must be nonzero")
+    if terms < 0:
+        raise ValueError(f"terms must be >= 0, got {terms}")
     prod_lg = lam * gam
     if abs(prod_lg) <= 4:
         raise ValueError("series requires |1/(lambda*gamma)| < 1/4")
@@ -391,6 +392,7 @@ def colored_word_to_json(w: ColoredWord) -> dict:
     }
 
 
+@json_loader
 def colored_word_from_json(obj) -> ColoredWord:
     alg = algebra_from_json(obj["algebra"])
     key = {1: BLUE, 2: RED, BLUE: BLUE, RED: RED}

@@ -225,6 +225,32 @@ def test_non_number_matrix_entry_is_usage_error(tmp_path, capsys):
     assert "number or an [re, im] pair" in capsys.readouterr().err
 
 
+def wrong_type_probe(tmp_path, case):
+    params, word = semicircular_file(tmp_path), unit_word_file(tmp_path, 2)
+    top_list = write_json(tmp_path, "list.json", [1, 2])
+    if case == "coeffs 5":
+        word = write_json(tmp_path, "w5.json", {**word_to_json(ALG1, [ONE1]), "coeffs": 5})
+    if case == "algebra [2]":
+        sc = params_to_json(semicircular(ALG1, LinMap.from_dense(ALG1, ONE1)))
+        params = write_json(tmp_path, "a2.json", {**sc, "algebra": [2]})
+    return {
+        "list as --params": ["moments", "--params", top_list, "--word", word],
+        "list as --word": ["moments", "--params", params, "--word", top_list],
+        "list as --model": ["joint", "--model", top_list, "--word", word],
+        "list as --p1": ["convolve", "--p1", top_list, "--p2", params, "--degree", "2"],
+        "coeffs 5": ["moments", "--params", params, "--word", word],
+        "algebra [2]": ["moments", "--params", params, "--word", word],
+    }[case]
+
+
+@pytest.mark.parametrize(
+    "case", ["list as --params", "list as --word", "list as --model", "list as --p1", "coeffs 5", "algebra [2]"]
+)
+def test_json_of_the_wrong_type_is_usage_error(tmp_path, capsys, case):
+    assert main(wrong_type_probe(tmp_path, case)) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 # -- verify -----------------------------------------------------------------------
 
 

@@ -228,3 +228,69 @@ def test_evaluate_partition_rejects_coefficient_of_wrong_shape():
     pairing = next(p for p in enumerate_tcnc(2) if p.base.blocks == ((1, 2),))
     with pytest.raises(ValueError, match="algebra"):
         evaluate_partition([np.eye(2), np.eye(3), np.eye(2)], pairing, {BLUE: SEMID, RED: SEMID})
+
+
+# -- a batch axis: a grid of equal-length words in one engine call ------------------
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from(["full", "diagonal"]),
+    d=st.sampled_from([1, 2, 3]),
+    heads=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    n=st.integers(min_value=0, max_value=6),
+    words=st.integers(min_value=1, max_value=5),
+    zero_lambda=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_batched_words_match_per_word_results(kind, d, heads, n, words, zero_lambda, seed):
+    rng = np.random.default_rng(seed)
+    alg = Algebra(kind, d)
+    params = []
+    for head in heads:
+        p = rand_params(rng, alg, head)
+        if zero_lambda:  # the pairs-only path
+            p = JacobiParams(alg, (alg.zero(),) * head, p.head_alpha, alg.zero(), p.tail_alpha)
+        params.append(p)
+    model = JointModel(*params)
+    # each position holds one coefficient per word, or one shared by every word
+    coeffs = [
+        np.array([rand_element(rng, alg) for _ in range(words)]) if rng.integers(2) else rand_element(rng, alg)
+        for _ in range(n + 1)
+    ]
+    per_word = [[c if c.ndim == 2 else c[w] for c in coeffs] for w in range(words)]
+    colors = [[(BLUE, RED)[i]] for i in rng.integers(0, 2, size=n)]
+
+    routes = [
+        lambda cs: moment(model.params1, cs),
+        lambda cs: nc_sum(cs, colors, model.by_color),  # a colored word, as joint_moment reads it
+        lambda cs: free_convolve_word(model, cs),
+    ]
+    for route in routes:
+        got = route(coeffs)
+        want = np.array([route(cs) for cs in per_word])
+        assert got.shape == ((words, d, d) if any(c.ndim == 3 for c in coeffs) else (d, d))
+        assert negligible(got - want, got, want)
+
+
+def test_batch_shapes_broadcast_together():
+    rng = np.random.default_rng(5)
+    alg = Algebra("full", 2)
+    p = rand_params(rng, alg, 1)
+    rows = np.array([rand_element(rng, alg) for _ in range(3)])
+    cols = np.array([rand_element(rng, alg) for _ in range(4)])
+    one = alg.unit()
+    got = moment(p, [one, rows[:, None], cols[None, :], one])
+    assert got.shape == (3, 4, 2, 2)
+    for i, j in product(range(3), range(4)):
+        assert_negligible(got[i, j], moment(p, [one, rows[i], cols[j], one]))
+
+
+def test_batched_coefficients_are_checked_one_by_one():
+    # a stack is judged per matrix: one off-diagonal coefficient among diagonal ones is rejected
+    stack = np.array([np.diag([1e9, 1e9]), np.ones((2, 2))])
+    with pytest.raises(ValueError, match="algebra"):
+        moment(SEMID, [np.eye(2), stack, np.eye(2)])
+    with pytest.raises(ValueError, match="algebra"):
+        moment(SEMID, [np.eye(2), np.ones((3, 1, 1)), np.eye(2)])  # a 1 x 1 shape does not broadcast to d x d
+    assert moment(SEMID, [np.eye(2), stack[:1], np.eye(2)]).shape == (1, 2, 2)

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ncfree.algebra import Algebra, LinMap, gram_psd_check, unit_matrix
+from ncfree.algebra import Algebra, LinMap, algebra_from_json, gram_psd_check, linmap_from_json, negligible, unit_matrix
 from ncfree.jacobi import (
     DegreeCapError,
     JacobiParams,
@@ -41,6 +43,7 @@ from ncfree.jacobi import (
     word_from_json,
     word_to_json,
 )
+from ncfree.joint import JointModel, colored_word_from_json, free_convolve_word
 from ncfree.scalar import moments_to_cumulants
 
 rng = np.random.default_rng(3)
@@ -308,6 +311,53 @@ def test_boolean_power_touches_only_first_pair():
         assert q.alpha(i).isclose(p.alpha(i))
 
 
+# -- paper laws as properties, over both algebra kinds --------------------------
+
+
+def law_inputs(seed, kind, d):
+    """Random elements of B and maps preserving it (diagonal Kraus operators on D_d)."""
+    rng = np.random.default_rng(seed)
+    alg = Algebra(kind, d)
+
+    def element():
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        return np.diag(np.diag(a)) if kind == "diagonal" else a
+
+    return alg, element, lambda: LinMap.from_kraus(alg, [element() for _ in range(2)])
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    kind=st.sampled_from(["full", "diagonal"]),
+    d=st.integers(1, 3),
+    heads=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_strip_undoes_phi_transform(kind, d, heads, seed):
+    alg, element, cp_map = law_inputs(seed, kind, d)
+    p = JacobiParams(alg, tuple(element() for _ in range(heads[0])), tuple(cp_map() for _ in range(heads[1])),
+                     element(), cp_map())
+    assert strip(phi_transform(p)).isclose(p)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    kind=st.sampled_from(["full", "diagonal"]),
+    d=st.integers(1, 3),
+    n=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_meixner_semigroup_on_words(kind, d, n, seed):
+    # fM(lam, alpha; eta1) boxplus fM(lam, alpha; eta2) = fM(lam, alpha; eta1 + eta2), word by word
+    alg, element, cp_map = law_inputs(seed, kind, d)
+    lam, alpha = element(), cp_map()
+    p1, p2 = meixner(alg, lam, alpha, cp_map()), meixner(alg, lam, alpha, cp_map())
+    coeffs = [element() for _ in range(n + 1)]
+    got = free_convolve_word(JointModel(p1, p2), coeffs)
+    want = moment(meixner_convolve(p1, p2), coeffs)
+    assert negligible(got - want, got, want)
+
+
 # -- Meixner family -----------------------------------------------------------
 
 
@@ -522,3 +572,19 @@ def test_params_json_positive_defaults_to_false():
     assert params_from_json(obj).positive is True
     del obj["positive"]
     assert params_from_json(obj).positive is False
+
+
+@pytest.mark.parametrize(
+    "load, obj",
+    [
+        (params_from_json, []),
+        (word_from_json, {"algebra": {"kind": "full", "dim": 1}, "coeffs": 5}),
+        (colored_word_from_json, "word"),
+        (algebra_from_json, [2]),
+        (lambda obj: linmap_from_json(ALG1, obj), 5),
+    ],
+    ids=["params", "word", "colored_word", "algebra", "linmap"],
+)
+def test_json_loaders_reject_values_of_the_wrong_type(load, obj):
+    with pytest.raises(ValueError, match="wrong type"):
+        load(obj)

@@ -367,6 +367,63 @@ def test_counterexample_witness():
     assert negligible(got - expected, got, expected)
 
 
+def reference_consistency(table):
+    """The degree-4 test word by word, one table call per basis word, with the
+    per-basis expansion of beta_2: the reference for the batched test."""
+    alg = table.algebra
+    one, basis = alg.unit(), alg.basis()
+    m = len(basis)
+    beta1 = LinMap.from_action(alg, lambda b: table([one, b, one]) if alg.contains(b) else alg.zero())
+    pairs = list(product(range(m), repeat=2))
+    fourth = np.array([[table([one, basis[i], bj, basis[k], one]) for bj in basis] for i, k in pairs])
+    known = np.array([[beta1(basis[i]) @ bj @ beta1(basis[k]) for bj in basis] for i, k in pairs])
+
+    def by_column(arr):
+        return arr.transpose(0, 3, 2, 1).reshape(-1, m)
+
+    design = by_column(np.array([[beta1(basis[i] @ bc @ basis[k]) for bc in basis] for i, k in pairs]))
+    x, *_ = np.linalg.lstsq(design, by_column(fourth - known), rcond=None)
+    residuals = design @ x - by_column(fourth - known)
+
+    def beta2_action(b):
+        out = alg.zero()
+        for j, ej in enumerate(basis):
+            out = out + np.sum(ej.conj() * b) * sum(x[c, j] * basis[c] for c in range(m))
+        return out
+
+    per_triple = np.abs(residuals).reshape(len(pairs), -1, m).max(axis=1)
+    p, j = np.unravel_index(np.argmax(per_triple), per_triple.shape)
+    triple = [basis[pairs[p][0]], basis[j], basis[pairs[p][1]]]
+    consistent = negligible(residuals, fourth, known)
+    return consistent, float(np.max(np.abs(residuals))), beta1, LinMap.from_action(alg, beta2_action), triple
+
+
+@pytest.mark.parametrize("which", ["counterexample", "semicircular", "diagonal semicircular"])
+def test_consistency_matches_per_word_reference(which):
+    algd = Algebra("diagonal", 2)
+    if which == "counterexample":
+        model = JointModel(
+            bernoulli(algd, algd.zero(), algd.zero(), flip_map()),
+            bernoulli(algd, algd.zero(), algd.zero(), LinMap.identity(algd)),
+        )
+    elif which == "semicircular":
+        model = JointModel(semicircular(ALG2, rand_cp()), semicircular(ALG2, rand_cp()))
+    else:
+        diag_cp = LinMap.from_kraus(algd, [np.diag(rng.normal(size=2)).astype(complex) for _ in range(2)])
+        model = JointModel(semicircular(algd, diag_cp), semicircular(algd, flip_map()))
+    table = free_convolve_moments(model, 4)
+    rep = verify_jacobi_consistency(table)
+    consistent, residual, beta1, beta2, triple = reference_consistency(table)
+    assert rep["consistent"] == consistent == (which != "counterexample")
+    assert rep["beta1"].isclose(beta1)
+    if consistent:
+        assert negligible(rep["residual"] - residual, beta1.dense) and rep["beta2"].isclose(beta2)
+    else:
+        assert negligible(rep["residual"] - residual, residual)
+        witness = [matrix_from_json(rep["witness"][key]["entries"]) for key in ("b1", "b2", "b3")]
+        assert all(np.array_equal(a, b) for a, b in zip(witness, triple))
+
+
 # -- the 2x2 diagonal model -----------------------------------------------------
 
 
@@ -396,6 +453,11 @@ def test_two_by_two_series_match_term_by_term_loop(lam, gam, terms):
     for got, want in ((rep["g_mu_series"], g_series), (rep["g_conv_series"], g_conv_series)):
         assert got.shape == (2, 2)
         assert negligible(got - want, got, want)
+
+
+def test_two_by_two_rejects_negative_terms():
+    with pytest.raises(ValueError, match="terms"):
+        two_by_two_model_check(3.0, 2.0, terms=-4)
 
 
 def test_two_by_two_equal_entries_reduces_to_arcsine():
