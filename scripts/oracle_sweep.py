@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Random sweep comparing the partition-sum moment engine against the Fock
-oracle, and the two-color partition sum against the freeness recursion.
+oracle, and the two-color partition sum against the freeness recursion,
+rotating over the full algebras d = 1, 2, 3 and the diagonal ones d = 2, 3.
 
 Prints worst-case relative deviations; exit code 1 if either exceeds 1e-9.
 
@@ -53,11 +54,11 @@ def main():
     ap.add_argument("--degree", type=int, default=6)
     args = ap.parse_args()
     rng = np.random.default_rng(args.seed)
-    algs = [Algebra("diagonal", 2), Algebra("full", 2)]
+    algs = [Algebra("diagonal", 2), Algebra("full", 2), Algebra("full", 1), Algebra("diagonal", 3), Algebra("full", 3)]
 
     worst_fock = 0.0
     for i in range(args.trials):
-        alg = algs[i % 2]
+        alg = algs[i % len(algs)]
         p = rand_params(alg, rng)
         n = int(rng.integers(0, args.degree + 1))
         cs = rand_coeffs(alg, n, rng)
@@ -66,7 +67,7 @@ def main():
 
     worst_joint = 0.0
     for i in range(max(args.trials // 4, 1)):
-        alg = algs[i % 2]
+        alg = algs[i % len(algs)]
         model = JointModel(rand_params(alg, rng), rand_params(alg, rng))
         n = int(rng.integers(1, args.degree + 1))
         cs = rand_coeffs(alg, n, rng)

@@ -60,17 +60,13 @@ class Algebra:
         """Whether `mat` lies in the algebra; with `stacked`, whether each matrix of a stack (..., d, d) does."""
         if mat.shape[-2:] != (self.dim, self.dim) or (mat.ndim > 2 and not stacked):
             return False
-        return self.kind == "full" or negligible(_off_diagonal(mat), mat, axis=(-2, -1))
+        return self.kind == "full" or negligible(np.where(np.eye(self.dim, dtype=bool), 0, mat), mat, axis=(-2, -1))
 
 
 def unit_matrix(d: int, i: int, j: int) -> np.ndarray:
     m = np.zeros((d, d), dtype=complex)
     m[i, j] = 1.0
     return m
-
-
-def _off_diagonal(mat: np.ndarray) -> np.ndarray:
-    return np.where(np.eye(mat.shape[-1], dtype=bool), 0, mat)
 
 
 def is_self_adjoint(mat: np.ndarray) -> bool:
@@ -184,12 +180,9 @@ class LinMap:
     __rmul__ = __mul__
 
     def choi(self) -> np.ndarray:
+        """The block matrix [map(e_ij)]_ij, read off `dense`: entry (i*d+a, j*d+b) is dense[b*d+a, j*d+i]."""
         d = self.algebra.dim
-        c = np.zeros((d * d, d * d), dtype=complex)
-        for i in range(d):
-            for j in range(d):
-                c[i * d : (i + 1) * d, j * d : (j + 1) * d] += self.apply(unit_matrix(d, i, j))
-        return c
+        return self.dense.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
 
     def is_cp(self) -> bool:
         return self.kraus is not None or _is_psd(self.choi())
@@ -197,8 +190,8 @@ class LinMap:
     def preserves_diagonal(self) -> bool:
         """Off-diagonal parts of the images of the diagonal units are
         negligible against the map itself."""
-        units = Algebra("diagonal", self.algebra.dim).basis()
-        return negligible([_off_diagonal(self.apply(e)) for e in units], self.dense)
+        diag = np.eye(self.algebra.dim, dtype=bool).reshape(-1)  # positions i*d+i of a vectorization
+        return negligible(self.dense[~diag][:, diag], self.dense)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.dense, 2))

@@ -277,8 +277,8 @@ def scalar_moments(params: JacobiParams, degree: int) -> list[complex]:
 
 def fock_moment(params: JacobiParams, coeffs: Sequence[np.ndarray]) -> np.ndarray:
     """<1, b_0 x b_1 x ... x b_n 1> with x = a* + p + a on the bimodule of
-    elementary tensors; degree-n vectors are stored as flat arrays over the
-    (n+1)-fold tensor basis of vectorized algebra elements.
+    elementary tensors; degree-m vectors are stored as flat arrays over the
+    (m+1)-fold tensor basis of vectorized algebra elements.  Takes one word.
 
     Independent of the partition sum: the ladder operators are applied
     symbolically and the degree-0 component is read off at the end.
@@ -286,57 +286,36 @@ def fock_moment(params: JacobiParams, coeffs: Sequence[np.ndarray]) -> np.ndarra
     n = len(coeffs) - 1
     check_degree(n)
     coeffs = _checked_coeffs(params.algebra, coeffs)
+    if coeffs.ndim > 3:
+        raise ValueError("the Fock oracle takes one word: coefficients carry no batch axis")
     d = params.algebra.dim
     D = d * d
-
-    eye_d = np.eye(d)
+    eye = np.eye(d)
     vec_unit = vec(params.algebra.unit())
-    basis = [unvec(col, d) for col in np.eye(D, dtype=complex).T]
+    # a component of degree m needs m steps up and m back down, so m <= n // 2;
+    # vec(b m) = (I (x) b) vec(m): b left-multiplies the first tensor factor
+    lam = [np.kron(eye, params.lam(m + 1)) for m in range(n // 2 + 1)]
+    # a on a degree-(m+1) vector sends (c0, c1, rest) to (alpha_{m+1}[c0] c1, rest)
+    ann = [
+        np.einsum("cC,rpi->cpiCr", eye, params.alpha(m + 1).dense.reshape(d, d, D)).reshape(D, D * D)
+        for m in range(n // 2)
+    ]
 
-    def leftmul_op(b: np.ndarray) -> np.ndarray:
-        # vec(b m) = (I (x) b) vec(m)
-        return np.kron(eye_d, b)
+    def first(op: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return (op @ v.reshape(op.shape[1], -1)).reshape(-1)
 
-    # a on a degree-m vector sends (c0, c1, rest) to (alpha_m[c0] c1, rest)
-    def annihilate_op(alpha: LinMap) -> np.ndarray:
-        op = np.zeros((D, D * D), dtype=complex)
-        for i, e_i in enumerate(basis):
-            img = alpha(e_i)
-            for j, e_j in enumerate(basis):
-                op[:, i * D + j] = vec(img @ e_j)
-        return op
-
-    ann_cache: dict[int, np.ndarray] = {}
-
-    def apply_x(state: dict[int, np.ndarray], max_deg: int) -> dict[int, np.ndarray]:
-        new: dict[int, np.ndarray] = {}
-
-        def acc(deg, arr):
-            if deg in new:
-                new[deg] = new[deg] + arr
-            else:
-                new[deg] = arr
-
-        for m, arr in state.items():
-            # creation: prepend a unit tensor factor
-            if m + 1 <= max_deg:
-                acc(m + 1, np.outer(vec_unit, arr).reshape(-1))
-            # preservation: left-multiply the first factor by lambda_{m+1}
-            lam_op = leftmul_op(params.lam(m + 1))
-            acc(m, (lam_op @ arr.reshape(D, -1)).reshape(-1))
-            # annihilation: alpha_m applied to the first factor, folded into the second
-            if m >= 1:
-                if m not in ann_cache:
-                    ann_cache[m] = annihilate_op(params.alpha(m))
-                acc(m - 1, (ann_cache[m] @ arr.reshape(D * D, -1)).reshape(-1))
-        return new
-
-    state: dict[int, np.ndarray] = {0: vec(coeffs[n])}
+    state = [vec(coeffs[n])]  # state[m]: the degree-m component
     for i in range(n, 0, -1):
-        state = apply_x(state, max_deg=i - 1)
-        lop = leftmul_op(coeffs[i - 1])
-        state = {m: (lop @ arr.reshape(D, -1)).reshape(-1) for m, arr in state.items()}
-    return unvec(state.get(0, np.zeros(D, dtype=complex)), d)
+        new, lop = [], np.kron(eye, coeffs[i - 1])
+        for m in range(min(len(state) + 1, i)):  # degrees above i - 1 can never return to degree 0
+            v = np.outer(vec_unit, state[m - 1]).reshape(-1) if m else 0  # creation
+            if m < len(state):
+                v = v + first(lam[m], state[m])  # preservation
+            if m + 1 < len(state):
+                v = v + first(ann[m], state[m + 1])  # annihilation
+            new.append(first(lop, v))
+        state = new
+    return unvec(state[0], d)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 transforms, moment/free-cumulant transforms, scalar free convolution, the
 recursive two-color pairing counts, and the free binomial series.
 
-All counting paths run in exact integer/rational arithmetic; floating point
-appears only in the Cauchy-transform sample checks.
+All counting paths and the subordination identity run in exact integer/rational
+arithmetic; floating point appears only in the Cauchy-transform sample check.
 """
 
 from __future__ import annotations
@@ -191,7 +191,7 @@ def free_convolve_scalar(m1: Sequence, m2: Sequence, degree: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Cauchy-transform sample checks
+# Cauchy-transform identities
 # ---------------------------------------------------------------------------
 
 
@@ -204,67 +204,34 @@ def g_recursion_check(n: int, z: complex) -> float:
     return abs(g_n - 1 / (z - g_prev))
 
 
-def _pade_coeffs(series: list[Fraction], m: int) -> tuple[list[Fraction], list[Fraction]]:
-    """Diagonal [m/m] Pade of a power series, exact rational arithmetic."""
-    need = 2 * m + 1
-    c = list(series[:need]) + [Fraction(0)] * max(0, need - len(series))
-    # denominator q_0=1, q_1..q_m solve sum_j c_{m+i-j} q_j = -c_{m+i}
-    rows = [[c[m + i - j] for j in range(1, m + 1)] for i in range(1, m + 1)]
-    rhs = [-c[m + i] for i in range(1, m + 1)]
-    q_tail = _solve_fraction(rows, rhs)
-    q = [Fraction(1)] + q_tail
-    p = [sum(c[i - j] * q[j] for j in range(0, min(i, m) + 1)) for i in range(m + 1)]
-    return p, q
+def subordination_residual(m_prev: Sequence[int], m_conv: Sequence[int], degree: int) -> list[int]:
+    """Coefficients of Mc(s) (1 - w^2 M) - (1 + w^2 M) through w^degree, where M and Mc
+    are the moment series of nu_{n-1} and nu_n boxplus nu_n in w = 1/z and s = w / (1 + w^2 M).
+
+    They all vanish exactly when F_{nu_n boxplus nu_n}(z + G_{nu_{n-1}}(z)) = z - G_{nu_{n-1}}(z)
+    holds as Laurent series in w: z + G = 1/s and z - G = (1 - w^2 M)/w.  Integer moments give
+    integer coefficients, since 1 + w^2 M starts with 1."""
+    if degree < 0 or len(m_prev) < degree - 1 or len(m_conv) <= degree:
+        raise ValueError("need a degree >= 0 and moments through it")
+    w2m = ([0, 0] + list(m_prev))[: degree + 1]
+    plus, minus = [1] + w2m[1:], [1] + [-c for c in w2m[1:]]
+    s = [0] * (degree + 1)
+    for k in range(1, degree + 1):
+        s[k] = int(k == 1) - sum(plus[j] * s[k - j] for j in range(2, k + 1))
+    comp = [0] * (degree + 1)  # Mc(s) by Horner's rule; s = w + O(w^3), so Mc's first degree + 1 moments do
+    for c in reversed(m_conv[: degree + 1]):
+        comp = _conv(comp, s, degree)
+        comp[0] += c
+    return [a - b for a, b in zip(_conv(comp, minus, degree), plus)]
 
 
-def _solve_fraction(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    n = len(rows)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular Pade system")
-        a[col], a[piv] = a[piv], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
-
-
-def _pade_cauchy(moments: Sequence, z: complex, m: int = 12) -> complex:
-    """Evaluate G(z) = sum m_n z^{-n-1} through a diagonal Pade approximant
-    of the series in w = 1/z."""
-    series = [Fraction(v) for v in moments]
-    p, q = _pade_coeffs(series, m)
-    w = 1 / z
-    pv = sum(complex(c) * w**i for i, c in enumerate(p))
-    qv = sum(complex(c) * w**i for i, c in enumerate(q))
-    return w * pv / qv
-
-
-def subordination_check(n: int, z: complex, series_degree: int = 24) -> float:
-    """Residual of F_{mu_{n,n}}(z + G_{nu_{n-1}}(z)) = z - G_{nu_{n-1}}(z).
-
-    n = 2 uses the closed arcsine F-transform sqrt(w^2-4); n >= 3 evaluates
-    F = 1/G with G from a diagonal Pade approximant of the exact moment
-    series of nu_n boxplus nu_n.
-    """
+def subordination_check(n: int, degree: int = 24) -> bool:
+    """Whether F_{nu_n boxplus nu_n}(z + G_{nu_{n-1}}(z)) = z - G_{nu_{n-1}}(z) holds exactly
+    through w^degree (`subordination_residual`)."""
     if n <= 1:
         raise ValueError("n must be > 1")
-    g_prev = nu_k(n - 1).cauchy(z)
-    w = z + g_prev
-    target = z - g_prev
-    if n == 2:
-        s = np.emath.sqrt(w * w - 4)
-        f_val = s if abs(s - w) <= abs(s + w) else -s
-    else:
-        m_nu = [Fraction(v) for v in nu_moments(n, series_degree)]
-        m_conv = free_convolve_scalar(m_nu, m_nu, series_degree)
-        f_val = 1 / _pade_cauchy(m_conv, w, m=series_degree // 2)
-    return abs(f_val - target)
+    m_nu = nu_moments(n, degree)
+    return not any(subordination_residual(nu_moments(n - 1, degree), free_convolve_scalar(m_nu, m_nu, degree), degree))
 
 
 # ---------------------------------------------------------------------------

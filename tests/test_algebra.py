@@ -14,6 +14,8 @@ from ncfree.algebra import (
     is_self_adjoint,
     linmap_from_json,
     linmap_to_json,
+    negligible,
+    unit_matrix,
     unvec,
     vec,
 )
@@ -69,6 +71,38 @@ def test_flip_map():
     assert np.allclose(fl(np.diag([3.0, 2.0])), np.diag([2.0, 3.0]))
     assert fl.is_cp()
     assert fl.preserves_diagonal()
+
+
+def choi_by_units(m):
+    d = m.algebra.dim
+    c = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            c[i * d : (i + 1) * d, j * d : (j + 1) * d] = m(unit_matrix(d, i, j))
+    return c
+
+
+def preserves_diagonal_by_units(m):
+    d = m.algebra.dim
+    images = [m(unit_matrix(d, i, i)) for i in range(d)]
+    return negligible([np.where(np.eye(d, dtype=bool), 0, b) for b in images], m.dense)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_choi_and_diagonal_check_match_unit_matrix_images(d):
+    alg = Algebra("full", d)
+    diag = np.eye(d, dtype=bool).reshape(-1)
+    for _ in range(5):
+        dense = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+        kept = dense.copy()
+        kept[np.ix_(~diag, diag)] = 0  # sends the diagonal into itself
+        for eps in (0.0, 1e-10, 1e-6):  # below and above the tolerance
+            m = LinMap.from_dense(alg, kept + eps * dense)
+            assert np.array_equal(m.choi(), choi_by_units(m))
+            assert m.preserves_diagonal() == preserves_diagonal_by_units(m)
+        m = LinMap.from_dense(alg, dense)
+        assert np.array_equal(m.choi(), choi_by_units(m))
+        assert m.preserves_diagonal() == preserves_diagonal_by_units(m) == (d == 1)
 
 
 def test_composition_and_sums():

@@ -294,3 +294,13 @@ def test_batched_coefficients_are_checked_one_by_one():
     with pytest.raises(ValueError, match="algebra"):
         moment(SEMID, [np.eye(2), np.ones((3, 1, 1)), np.eye(2)])  # a 1 x 1 shape does not broadcast to d x d
     assert moment(SEMID, [np.eye(2), stack[:1], np.eye(2)]).shape == (1, 2, 2)
+
+
+@pytest.mark.parametrize("words", [1, 3])
+def test_fock_oracle_rejects_a_batch_axis(words):
+    # the oracle takes one word: a stacked coefficient, even a stack of one, is refused by name
+    alg = Algebra("full", 2)
+    semi = semicircular(alg, LinMap.identity(alg))
+    stack = np.array([np.eye(2) * (k + 1) for k in range(words)], dtype=complex)
+    with pytest.raises(ValueError, match="batch"):
+        fock_moment(semi, [np.eye(2), stack, np.eye(2)])

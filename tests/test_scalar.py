@@ -27,6 +27,7 @@ from ncfree.scalar import (
     nu_k,
     nu_moments,
     subordination_check,
+    subordination_residual,
     table_to_tsv,
     tcnc_limit_row,
     tcnc_recursion,
@@ -174,10 +175,13 @@ def test_g_recursion_residuals():
 
 
 def test_subordination_residuals():
-    assert subordination_check(2, 2j) < 1e-8
-    assert subordination_check(3, 1 + 2j) < 1e-6
-    assert subordination_check(3, 100.0 + 0j) < 1e-10
-    assert subordination_check(4, 2 + 2j) < 1e-6
+    # F_{nu_n boxplus nu_n}(z + G_{nu_{n-1}}(z)) = z - G_{nu_{n-1}}(z) exactly, as series in 1/z
+    assert all(subordination_check(n) for n in range(2, 9))
+    assert all(subordination_check(n, 48) for n in range(2, 5))
+    # and the identity fails when nu_n stands in for nu_{n-1}
+    for n in range(2, 7):
+        m = nu_moments(n, 24)
+        assert any(subordination_residual(m, free_convolve_scalar(m, m, 24), 24))
 
 
 # -- the counting table -----------------------------------------------------------
