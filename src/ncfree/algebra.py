@@ -79,11 +79,12 @@ def _is_psd(mat: np.ndarray) -> bool:
 
 
 def vec(mat: np.ndarray) -> np.ndarray:
-    return mat.flatten(order="F")
+    """Column-major vectorization of the last two axes."""
+    return mat.swapaxes(-1, -2).reshape(*mat.shape[:-2], mat.shape[-2] * mat.shape[-1])
 
 
 def unvec(v: np.ndarray, d: int) -> np.ndarray:
-    return v.reshape((d, d), order="F")
+    return v.reshape(*v.shape[:-1], d, d).swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -141,11 +142,12 @@ class LinMap:
         return cls(algebra, np.zeros((d * d, d * d), dtype=complex), ())
 
     def apply(self, b: np.ndarray) -> np.ndarray:
+        """The image of one element, or of each element of a stack (..., d, d), in one product."""
         d = self.algebra.dim
         b = np.asarray(b, dtype=complex)
-        if b.shape != (d, d):
+        if b.shape[-2:] != (d, d):
             raise ValueError("algebra mismatch: element has wrong shape")
-        return unvec(self.dense @ vec(b), d)
+        return unvec((self.dense @ vec(b)[..., None])[..., 0], d)
 
     def __call__(self, b: np.ndarray) -> np.ndarray:
         return self.apply(b)

@@ -11,7 +11,6 @@ oracle for the first.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
@@ -33,26 +32,10 @@ from .algebra import (
     unvec,
     vec,
 )
-from .partitions import BLUE, ColoredPartition, _colored_nc12, relative_depths
+# the degree guard lives beside the enumeration it bounds; it is re-exported here
+from .partitions import (BLUE, DEFAULT_DEGREE_CAP, ColoredPartition, DegreeCapError, _colored_nc12, check_degree,
+                         relative_depths)
 from .scalar import free_binomial_closed as free_binomial_moment
-
-DEFAULT_DEGREE_CAP = 16
-
-
-class DegreeCapError(ValueError):
-    """Raised when a requested moment degree exceeds the configured cap."""
-
-
-def check_degree(n: int) -> None:
-    """Raise DegreeCapError if degree n exceeds NCFREE_DEGREE_CAP (default 16)."""
-    raw = os.environ.get("NCFREE_DEGREE_CAP", DEFAULT_DEGREE_CAP)
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"NCFREE_DEGREE_CAP must be an integer, got {raw!r}") from None
-    if n > cap:
-        raise DegreeCapError(f"degree {n} exceeds cap {cap}")
-
 
 @dataclass(frozen=True)
 class JacobiParams:
@@ -252,15 +235,41 @@ def moment(params: JacobiParams, coeffs: Sequence[np.ndarray]) -> np.ndarray:
     return nc_sum(coeffs, [(BLUE,)] * (len(coeffs) - 1), {BLUE: params})
 
 
+@dataclass(frozen=True)
+class MomentTable:
+    """Lazily evaluated moment functional mu[b_0 X b_1 ... X b_n]."""
+
+    algebra: Algebra
+    degree: int
+    fn: Callable[[Sequence[np.ndarray]], np.ndarray]
+
+    def __post_init__(self):
+        if self.degree < 0:
+            raise ValueError(f"degree must be >= 0, got {self.degree}")
+
+    def __call__(self, coeffs: Sequence[np.ndarray]) -> np.ndarray:
+        coeffs = [np.asarray(c, dtype=complex) for c in coeffs]
+        if len(coeffs) - 1 > self.degree:
+            raise DegreeCapError(f"table holds moments through degree {self.degree}")
+        return self.fn(coeffs)
+
+    def sequence(self, b: np.ndarray, degree: Optional[int] = None) -> list[np.ndarray]:
+        """Coefficients mu[(X b)^n] of the moment generating series, n = 0..degree: the one loop
+        that builds every moment sequence."""
+        degree = self.degree if degree is None else degree
+        if degree < 0:
+            raise ValueError(f"degree must be >= 0, got {degree}")
+        one = self.algebra.unit()
+        return [self([one] + [b] * n) for n in range(degree + 1)]
+
+
+def params_moment_table(params: JacobiParams, degree: int) -> MomentTable:
+    return MomentTable(params.algebra, degree, lambda coeffs: moment(params, coeffs))
+
+
 def moment_sequence(params: JacobiParams, b: np.ndarray, degree: int) -> list[np.ndarray]:
     """Coefficients mu[(X b)^n] of the moment generating series, n = 0..degree."""
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    one = params.algebra.unit()
-    out = [one]
-    for n in range(1, degree + 1):
-        out.append(moment(params, [one] + [b] * n))
-    return out
+    return params_moment_table(params, degree).sequence(b)
 
 
 def scalar_moments(params: JacobiParams, degree: int) -> list[complex]:
@@ -389,11 +398,19 @@ class SingularResolventError(ValueError):
         self.level = level
 
 
+def _checked_point(algebra: Algebra, b: np.ndarray) -> np.ndarray:
+    """The point b of a continued fraction: one element of the algebra, without a batch axis."""
+    b = _checked_coeffs(algebra, [b])[0]
+    if b.ndim > 2:
+        raise ValueError("a continued fraction takes one point b: it carries no batch axis")
+    return b
+
+
 def cf_approximant(params: JacobiParams, k: int, b: np.ndarray) -> np.ndarray:
     """Numeric value of the depth-k finite continued fraction at b."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    b = np.asarray(b, dtype=complex)
+    b = _checked_point(params.algebra, b)
     one = params.algebra.unit()
     s = one
     for i in range(k, 0, -1):
@@ -404,41 +421,26 @@ def cf_approximant(params: JacobiParams, k: int, b: np.ndarray) -> np.ndarray:
     return s
 
 
-def _series_mul(x: list[np.ndarray], y: list[np.ndarray]) -> list[np.ndarray]:
-    n = len(x)
-    return [sum(x[j] @ y[m - j] for j in range(m + 1)) for m in range(n)]
-
-
-def _series_inv(x: list[np.ndarray]) -> list[np.ndarray]:
-    c0inv = np.linalg.inv(x[0])
-    out = [c0inv]
-    for m in range(1, len(x)):
-        acc = sum(x[j] @ out[m - j] for j in range(1, m + 1))
-        out.append(-c0inv @ acc)
-    return out
-
-
 def cf_series(params: JacobiParams, k: int, b: np.ndarray, degree: int) -> list[np.ndarray]:
     """Formal expansion of the depth-k continued fraction: coefficient n is
-    the degree-n term of the approximant evaluated at t*b, as a series in t."""
+    the degree-n term of the approximant evaluated at t*b, as a series in t.
+
+    A series is an (N, d, d) stack of its coefficients.  Level i inverts
+    1 - x with x = lambda_i t b + alpha_i(t b s) t b, and multiplying by t b
+    shifts a series up one order: x is lambda_i b at order 1 and
+    alpha_i(b s_{m-2}) b at each order m >= 2."""
     if k < 1 or degree < 0:
         raise ValueError("k >= 1 and degree >= 0 required")
-    b = np.asarray(b, dtype=complex)
-    d = params.algebra.dim
-    zero, one = np.zeros((d, d), dtype=complex), params.algebra.unit()
-    nterm = degree + 1
-    s = [one] + [zero] * (degree)
-    tb = ([zero, b] + [zero] * degree)[:nterm]  # the series t*b
+    b = _checked_point(params.algebra, b)
+    s = np.zeros((degree + 1, *b.shape), dtype=complex)
+    s[0] = params.algebra.unit()
     for i in range(k, 0, -1):
-        tbs = _series_mul(tb, s)
-        alpha_tbs = [params.alpha(i)(c) for c in tbs]
-        lam_tb = [params.lam(i) @ c for c in tb]
-        inner = _series_mul(alpha_tbs, tb)
-        body = [one - lam_tb[0] - inner[0]] + [
-            -lam_tb[m] - inner[m] for m in range(1, nterm)
-        ]
-        s = _series_inv(body)
-    return s
+        x = np.zeros_like(s)
+        x[1:2] = params.lam(i) @ b
+        x[2:] = params.alpha(i)(b @ s[:-2]) @ b
+        for m in range(1, degree + 1):  # (1 - x)^-1 has s_0 = 1 and s_m = sum_j x_j s_{m-j}
+            s[m] = np.einsum("jab,jbc->ac", x[1 : m + 1], s[m - 1 :: -1])
+    return list(s)
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +595,7 @@ def free_binomial_word_moment(
         raise ValueError("model requires E[a] = 0")
     if not algebra.contains(a @ np.array(algebra.basis()) @ a, stacked=True):
         raise ValueError("model requires a B a inside B")
-    coeffs = [np.asarray(c, dtype=complex) for c in coeffs]
+    coeffs = _checked_coeffs(algebra, coeffs)
     n = len(coeffs) - 1
     if n % 2:
         return np.zeros_like(coeffs[0])

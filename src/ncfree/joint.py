@@ -11,21 +11,22 @@ moment level, the degree-4 Jacobi-consistency test, and the closed-form
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .algebra import (Algebra, LinMap, algebra_from_json, algebra_to_json, element_to_json, json_loader,
                       matrix_from_json, negligible)
-from .jacobi import (
-    DegreeCapError,
+from .jacobi import (  # MomentTable and params_moment_table live in jacobi and are re-exported here
     JacobiParams,
+    MomentTable,
     check_degree,
     evaluate_partition,
     moment,
     nc_sum,
+    params_moment_table,
 )
 from .partitions import BLUE, RED, ColoredPartition
 
@@ -185,32 +186,6 @@ def joint_moment_free_recursion(model: JointModel, w: ColoredWord) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MomentTable:
-    """Lazily evaluated moment functional mu[b_0 X b_1 ... X b_n]."""
-
-    algebra: Algebra
-    degree: int
-    fn: Callable[[Sequence[np.ndarray]], np.ndarray]
-
-    def __post_init__(self):
-        if self.degree < 0:
-            raise ValueError(f"degree must be >= 0, got {self.degree}")
-
-    def __call__(self, coeffs: Sequence[np.ndarray]) -> np.ndarray:
-        coeffs = [np.asarray(c, dtype=complex) for c in coeffs]
-        if len(coeffs) - 1 > self.degree:
-            raise DegreeCapError(f"table holds moments through degree {self.degree}")
-        return self.fn(coeffs)
-
-    def sequence(self, b: np.ndarray, degree: Optional[int] = None) -> list[np.ndarray]:
-        degree = self.degree if degree is None else degree
-        if degree < 0:
-            raise ValueError(f"degree must be >= 0, got {degree}")
-        one = self.algebra.unit()
-        return [self([one] + [b] * n) for n in range(degree + 1)]
-
-
 def free_convolve_word(model: JointModel, coeffs: Sequence[np.ndarray]) -> np.ndarray:
     """mu1 boxplus mu2 evaluated at one word: the sum of joint moments over
     all 2^n color sequences (the expansion of (X_1 + X_2)^n), regrouped as a
@@ -221,10 +196,6 @@ def free_convolve_word(model: JointModel, coeffs: Sequence[np.ndarray]) -> np.nd
 def free_convolve_moments(model: JointModel, degree: int) -> MomentTable:
     check_degree(degree)
     return MomentTable(model.algebra, degree, lambda coeffs: free_convolve_word(model, coeffs))
-
-
-def params_moment_table(params: JacobiParams, degree: int) -> MomentTable:
-    return MomentTable(params.algebra, degree, lambda coeffs: moment(params, coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -260,18 +231,18 @@ def verify_jacobi_consistency(table: MomentTable) -> dict:
 
     # beta_2(basis[j]) = sum_c x[c, j] basis[c] enters every triple (b1, basis[j], b3)
     # through the same map c -> beta_1(b1 basis[c] b3): one design matrix serves
-    # every j, with one right-hand side per j.
-    pairs = list(product(range(m), repeat=2))
-    fourth = table([one, grid[:, None, None], grid[None, None, :], grid[None, :, None], one]).reshape(m * m, m, d, d)
-    beta1_basis = [beta1(b) for b in basis]
-    known = np.array([[beta1_basis[i] @ bj @ beta1_basis[k] for bj in basis] for i, k in pairs])
+    # every j, with one right-hand side per j.  The stacks are indexed (i, k, j) for the
+    # triple (basis[i], basis[j], basis[k]); row p = i * m + k of a flattened stack is one pair.
+    b1, b2, b3 = grid[:, None, None], grid[None, None, :], grid[None, :, None]
+    fourth = table([one, b1, b2, b3, one]).reshape(m * m, m, d, d)
+    known = (beta1(b1) @ b2 @ beta1(b3)).reshape(m * m, m, d, d)
     lhs = fourth - known
 
     def by_column(arr):
         # (pair (b1, b3), j or c, d, d) -> rows (pair, entry of vec), columns j or c
-        return arr.transpose(0, 3, 2, 1).reshape(-1, m)
+        return arr.reshape(m * m, m, d, d).transpose(0, 3, 2, 1).reshape(-1, m)
 
-    design = by_column(np.array([[beta1(basis[i] @ bc @ basis[k]) for bc in basis] for i, k in pairs]))
+    design = by_column(beta1(b1 @ b2 @ b3))
     rhs = by_column(lhs)
     x, *_ = np.linalg.lstsq(design, rhs, rcond=None)
     residuals = design @ x - rhs
@@ -283,9 +254,9 @@ def verify_jacobi_consistency(table: MomentTable) -> dict:
         return {"consistent": True, "beta1": beta1, "beta2": beta2, "residual": worst}
 
     # point at the worst coefficient triple
-    per_triple = np.abs(residuals).reshape(len(pairs), d * d, m).max(axis=1)
+    per_triple = np.abs(residuals).reshape(m * m, d * d, m).max(axis=1)
     p, j = np.unravel_index(np.argmax(per_triple), per_triple.shape)
-    i, k = pairs[p]
+    i, k = divmod(p, m)
     witness = {
         "b1": element_to_json(alg, basis[i]),
         "b2": element_to_json(alg, basis[j]),

@@ -9,11 +9,28 @@ python integers.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 BLUE = "b"
 RED = "r"
+DEFAULT_DEGREE_CAP = 16
+
+
+class DegreeCapError(ValueError):
+    """Raised when a requested moment degree exceeds the configured cap."""
+
+
+def check_degree(n: int) -> None:
+    """Raise DegreeCapError if degree n exceeds NCFREE_DEGREE_CAP (default 16)."""
+    raw = os.environ.get("NCFREE_DEGREE_CAP", DEFAULT_DEGREE_CAP)
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ValueError(f"NCFREE_DEGREE_CAP must be an integer, got {raw!r}") from None
+    if n > cap:
+        raise DegreeCapError(f"degree {n} exceeds cap {cap}")
 
 
 @dataclass(frozen=True)
@@ -81,7 +98,9 @@ def _colored_nc12(
     (block, color, depth) triples in canonical order.  colors[i-1] lists the
     colors allowed at position i and a block takes one allowed at both ends;
     its depth follows the reset rule (relative_depths) from the pair it is
-    generated under.  Pairs of depth >= k (blue) or >= l (red) are skipped."""
+    generated under.  Pairs of depth >= k (blue) or >= l (red) are skipped.
+    Every enumeration runs here, so n is checked against the degree cap."""
+    check_degree(n)
     if n < 0:
         raise ValueError("n must be nonnegative")
     if k < 1 or l < 1:

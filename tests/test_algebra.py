@@ -55,6 +55,24 @@ def test_from_action_roundtrip():
     assert phi.isclose(rebuilt)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("make", ["dense", "kraus"])
+def test_apply_maps_a_stack_elementwise(d, make):
+    alg = Algebra("full", d)
+    if make == "dense":
+        m = LinMap.from_dense(alg, rand_mat(d * d))
+    else:
+        m = LinMap.from_kraus(alg, [rand_mat(d), rand_mat(d)])
+    stack = np.array([rand_mat(d) for _ in range(4)]).reshape(2, 2, d, d)
+    got = m(stack)
+    want = np.array([[m(b) for b in row] for row in stack])
+    assert got.shape == stack.shape and negligible(got - want, want)
+    assert np.array_equal(m(stack[0, :0]), np.zeros((0, d, d)))
+    for bad in (rand_mat(d + 1), np.zeros((3, d, d + 1)), np.zeros(d * d)):
+        with pytest.raises(ValueError, match="wrong shape"):
+            m(bad)
+
+
 def test_kraus_maps_are_cp():
     alg = Algebra("full", 2)
     assert LinMap.from_kraus(alg, [rand_mat(), rand_mat()]).is_cp()

@@ -171,6 +171,15 @@ def test_moments_degree_cap_exit(tmp_path, capsys, monkeypatch):
     assert main(["moments", "--params", pf, "--word", wf]) == 3
 
 
+def test_count_by_enumeration_degree_cap_exit(capsys, monkeypatch):
+    monkeypatch.setenv("NCFREE_DEGREE_CAP", "4")
+    assert main(["count", "--family", "TCNC2", "--method", "enumerate", "--n", "4", "--k", "2", "--l", "2"]) == 0
+    capsys.readouterr()
+    assert main(["count", "--family", "TCNC2", "--method", "enumerate", "--n", "5", "--k", "2", "--l", "2"]) == 3
+    assert main(["count", "--family", "NC12", "--n", "5"]) == 3
+    assert capsys.readouterr().out == ""
+
+
 def test_non_integer_degree_cap_is_usage_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("NCFREE_DEGREE_CAP", "abc")
     pf = semicircular_file(tmp_path)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncfree.algebra import Algebra, LinMap, algebra_from_json, gram_psd_check, linmap_from_json, negligible, unit_matrix
+from ncfree.algebra import (Algebra, LinMap, algebra_from_json, flip_map, gram_psd_check, linmap_from_json, negligible,
+                            unit_matrix)
 from ncfree.jacobi import (
     DegreeCapError,
     JacobiParams,
@@ -358,6 +359,60 @@ def test_meixner_semigroup_on_words(kind, d, n, seed):
     assert negligible(got - want, got, want)
 
 
+def boolean_cumulants(p, c):
+    """beta_n(c_1, ..., c_{n-1}) for n = 1..len(c) + 1, from the interval recursion
+    mu_n(c_1..c_{n-1}) = sum_j beta_j(c_1..c_{j-1}) c_j mu_{n-j}(c_{j+1}..c_{n-1}), the j = n term being beta_n;
+    also every moment the recursion reads."""
+    one = p.algebra.unit()
+
+    def mu(lo, hi):  # mu[X c_{lo+1} X ... c_hi X], with hi - lo + 1 letters
+        return moment(p, [one, *c[lo:hi], one])
+
+    beta, moments = [], []
+    for n in range(1, len(c) + 2):
+        terms = [mu(0, n - 1)] + [beta[j - 1] @ c[j - 1] @ mu(j, n - 1) for j in range(1, n)]
+        beta.append(terms[0] - sum(terms[1:]))
+        moments += terms
+    return beta, moments
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    kind=st.sampled_from(["full", "diagonal"]),
+    d=st.integers(1, 2),
+    heads=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_boolean_power_applies_eta_to_boolean_cumulants(kind, d, heads, seed):
+    # the Boolean cumulants of boolean_power(p, eta) are eta of those of p, through degree 5
+    alg, element, cp_map = law_inputs(seed, kind, d)
+    p = JacobiParams(alg, tuple(element() for _ in range(heads[0])), tuple(cp_map() for _ in range(heads[1])),
+                     element(), cp_map())
+    eta, c = cp_map(), [element() for _ in range(4)]
+    beta_p, moments_p = boolean_cumulants(p, c)
+    beta_q, moments_q = boolean_cumulants(boolean_power(p, eta), c)
+    want = eta(np.array(beta_p))
+    assert negligible(np.array(beta_q) - want, *moments_q, eta(np.array(moments_p)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    kind=st.sampled_from(["full", "diagonal"]),
+    d=st.integers(1, 2),
+    heads=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    n=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_shift_by_delta_is_free_convolution_with_a_point_mass(kind, d, heads, n, seed):
+    alg, element, cp_map = law_inputs(seed, kind, d)
+    p = JacobiParams(alg, tuple(element() for _ in range(heads[0])), tuple(cp_map() for _ in range(heads[1])),
+                     element(), cp_map())
+    shift, coeffs = element(), [element() for _ in range(n + 1)]
+    got = moment(shift_by_delta(p, shift), coeffs)
+    want = free_convolve_word(JointModel(p, point_mass(alg, shift)), coeffs)
+    assert negligible(got - want, got, want)
+
+
 # -- Meixner family -----------------------------------------------------------
 
 
@@ -544,6 +599,27 @@ def test_params_reject_alpha_leaving_algebra():
     mixing = LinMap.from_kraus(ALGD, [np.array([[1, 1], [0, 1]])])
     with pytest.raises(ValueError, match="alpha"):
         JacobiParams(ALGD, (), (mixing,), ALGD.zero(), LinMap.zero(ALGD))
+
+
+@pytest.mark.parametrize(
+    "b, match",
+    [(np.ones((2, 2)), "live in the algebra"), (np.eye(3), "live in the algebra"), (np.array([np.eye(2)] * 2), "batch")],
+    ids=["outside_B", "wrong_shape", "batch"],
+)
+@pytest.mark.parametrize(
+    "expand",
+    [lambda p, b: cf_series(p, 2, b, 4), lambda p, b: cf_approximant(p, 2, b)],
+    ids=["cf_series", "cf_approximant"],
+)
+def test_continued_fractions_reject_a_point_outside_the_algebra(expand, b, match):
+    with pytest.raises(ValueError, match=match):
+        expand(semicircular(ALGD, flip_map()), b)
+
+
+def test_free_binomial_word_moment_rejects_coefficients_outside_the_algebra():
+    expectation = lambda m: np.diag(np.diag(m))
+    with pytest.raises(ValueError, match="live in the algebra"):
+        free_binomial_word_moment(OFF_DIAGONAL, [np.eye(2), np.ones((2, 2)), np.eye(2)], 2.0, expectation, ALGD)
 
 
 def test_word_from_json_rejects_coefficient_outside_algebra():

@@ -10,6 +10,7 @@ from ncfree.partitions import (
     BLUE,
     RED,
     ColoredPartition,
+    DegreeCapError,
     Partition12,
     _colored_nc12,
     block_depths,
@@ -243,3 +244,15 @@ def test_count_family_matches_object_route():
 def test_count_family_names_missing_bound(family, bounds, missing):
     with pytest.raises(ValueError, match=f"needs the depth bound {missing}$"):
         count_family(family, 4, *bounds)
+
+
+@pytest.mark.parametrize(
+    "enumerate_at",
+    [lambda n: count_family("NC12", n), lambda n: list(enumerate_nc12(n)), lambda n: list(enumerate_tcnc(n, True))],
+    ids=["count_family", "enumerate_nc12", "enumerate_tcnc"],
+)
+def test_enumerations_honour_the_degree_cap(enumerate_at, monkeypatch):
+    monkeypatch.setenv("NCFREE_DEGREE_CAP", "4")
+    enumerate_at(4)
+    with pytest.raises(DegreeCapError, match="degree 5 exceeds cap 4"):
+        enumerate_at(5)
