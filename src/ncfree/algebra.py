@@ -2,9 +2,10 @@
 diagonal subalgebra D_d over complex scalars, their elements (plain
 complex ndarrays) and linear self-maps.
 
-Linear maps are stored canonically as a d^2 x d^2 dense matrix acting on
-the column-major vectorization; a Kraus list may be attached.  Complete
-positivity of the dense form is tested via the Choi matrix.
+A linear map is its d^2 x d^2 dense matrix acting on the column-major
+vectorization, and nothing else; a Kraus family is only a way to build one.
+Complete positivity is the Choi test: the map is CP iff its Choi matrix is
+positive semidefinite.
 
 Every numerical verdict in the package goes through one relative rule,
 `negligible`, with the single tolerance `TOL`.
@@ -13,8 +14,8 @@ Every numerical verdict in the package goes through one relative rule,
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -49,12 +50,11 @@ class Algebra:
     def zero(self) -> np.ndarray:
         return np.zeros((self.dim, self.dim), dtype=complex)
 
-    def basis(self) -> list[np.ndarray]:
-        """Matrix units for the full algebra, e_ii for the diagonal one."""
+    def basis(self) -> np.ndarray:
+        """The (m, d, d) stack of matrix units e_ij in row-major order; only the e_ii for the diagonal kind."""
         d = self.dim
-        if self.kind == "diagonal":
-            return [unit_matrix(d, i, i) for i in range(d)]
-        return [unit_matrix(d, i, j) for i in range(d) for j in range(d)]
+        units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+        return units[:: d + 1] if self.kind == "diagonal" else units
 
     def contains(self, mat: np.ndarray, stacked: bool = False) -> bool:
         """Whether `mat` lies in the algebra; with `stacked`, whether each matrix of a stack (..., d, d) does."""
@@ -89,16 +89,11 @@ def unvec(v: np.ndarray, d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LinMap:
-    """A linear self-map of the base algebra.
-
-    `dense` is the d^2 x d^2 matrix acting on column-major vectorizations;
-    `kraus`, when present, is the defining Kraus family (which certifies
-    complete positivity by construction).
-    """
+    """A linear self-map of the base algebra: `dense` is the d^2 x d^2 matrix acting on
+    column-major vectorizations."""
 
     algebra: Algebra
     dense: np.ndarray
-    kraus: Optional[tuple[np.ndarray, ...]] = field(default=None, compare=False)
 
     def __post_init__(self):
         d2 = self.algebra.dim ** 2
@@ -108,14 +103,13 @@ class LinMap:
     @classmethod
     def from_kraus(cls, algebra: Algebra, mats: Sequence[np.ndarray]) -> "LinMap":
         d = algebra.dim
-        mats = tuple(np.asarray(a, dtype=complex) for a in mats)
         dense = np.zeros((d * d, d * d), dtype=complex)
-        for a in mats:
+        for a in (np.asarray(k, dtype=complex) for k in mats):
             if a.shape != (d, d):
                 raise ValueError("Kraus operators must be d x d")
             # vec(A b A*) = (conj(A) o A) vec(b) in column-major convention
             dense += np.kron(a.conj(), a)
-        return cls(algebra, dense, mats)
+        return cls(algebra, dense)
 
     @classmethod
     def from_dense(cls, algebra: Algebra, dense: np.ndarray) -> "LinMap":
@@ -134,12 +128,12 @@ class LinMap:
     @classmethod
     def identity(cls, algebra: Algebra) -> "LinMap":
         d = algebra.dim
-        return cls(algebra, np.eye(d * d, dtype=complex), (np.eye(d, dtype=complex),))
+        return cls(algebra, np.eye(d * d, dtype=complex))
 
     @classmethod
     def zero(cls, algebra: Algebra) -> "LinMap":
         d = algebra.dim
-        return cls(algebra, np.zeros((d * d, d * d), dtype=complex), ())
+        return cls(algebra, np.zeros((d * d, d * d), dtype=complex))
 
     def apply(self, b: np.ndarray) -> np.ndarray:
         """The image of one element, or of each element of a stack (..., d, d), in one product."""
@@ -154,27 +148,18 @@ class LinMap:
 
     def compose(self, other: "LinMap") -> "LinMap":
         _check_same_algebra(self, other)
-        kraus = None
-        if self.kraus is not None and other.kraus is not None:
-            kraus = tuple(a @ b for a in self.kraus for b in other.kraus)
-        return LinMap(self.algebra, self.dense @ other.dense, kraus)
+        return LinMap(self.algebra, self.dense @ other.dense)
 
     def __add__(self, other: "LinMap") -> "LinMap":
         _check_same_algebra(self, other)
-        kraus = None
-        if self.kraus is not None and other.kraus is not None:
-            kraus = self.kraus + other.kraus
-        return LinMap(self.algebra, self.dense + other.dense, kraus)
+        return LinMap(self.algebra, self.dense + other.dense)
 
     def __sub__(self, other: "LinMap") -> "LinMap":
         _check_same_algebra(self, other)
         return LinMap(self.algebra, self.dense - other.dense)
 
     def scale(self, t: complex) -> "LinMap":
-        kraus = None
-        if self.kraus is not None and t.real >= 0 and abs(t.imag) == 0:
-            kraus = tuple(np.sqrt(t.real) * a for a in self.kraus)
-        return LinMap(self.algebra, t * self.dense, kraus)
+        return LinMap(self.algebra, t * self.dense)
 
     def __mul__(self, t: complex) -> "LinMap":
         return self.scale(t)
@@ -187,7 +172,7 @@ class LinMap:
         return self.dense.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
 
     def is_cp(self) -> bool:
-        return self.kraus is not None or _is_psd(self.choi())
+        return _is_psd(self.choi())
 
     def preserves_diagonal(self) -> bool:
         """Off-diagonal parts of the images of the diagonal units are
@@ -281,8 +266,6 @@ def element_to_json(alg: Algebra, mat: np.ndarray) -> dict:
 
 
 def linmap_to_json(m: LinMap) -> dict:
-    if m.kraus is not None:
-        return {"kraus": [matrix_to_json(a) for a in m.kraus]}
     return {"dense": matrix_to_json(m.dense)}
 
 

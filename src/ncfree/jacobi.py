@@ -237,7 +237,8 @@ def moment(params: JacobiParams, coeffs: Sequence[np.ndarray]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MomentTable:
-    """Lazily evaluated moment functional mu[b_0 X b_1 ... X b_n]."""
+    """Lazily evaluated moment functional mu[b_0 X b_1 ... X b_n] through `degree`, which the
+    degree cap bounds when the table is made."""
 
     algebra: Algebra
     degree: int
@@ -246,19 +247,25 @@ class MomentTable:
     def __post_init__(self):
         if self.degree < 0:
             raise ValueError(f"degree must be >= 0, got {self.degree}")
+        check_degree(self.degree)
+
+    def _check_held(self, n: int) -> None:
+        if n > self.degree:
+            raise DegreeCapError(f"table holds moments through degree {self.degree}")
 
     def __call__(self, coeffs: Sequence[np.ndarray]) -> np.ndarray:
         coeffs = [np.asarray(c, dtype=complex) for c in coeffs]
-        if len(coeffs) - 1 > self.degree:
-            raise DegreeCapError(f"table holds moments through degree {self.degree}")
+        self._check_held(len(coeffs) - 1)
         return self.fn(coeffs)
 
     def sequence(self, b: np.ndarray, degree: Optional[int] = None) -> list[np.ndarray]:
         """Coefficients mu[(X b)^n] of the moment generating series, n = 0..degree: the one loop
-        that builds every moment sequence."""
+        that builds every moment sequence.  A degree the table does not hold is refused before
+        anything is computed."""
         degree = self.degree if degree is None else degree
         if degree < 0:
             raise ValueError(f"degree must be >= 0, got {degree}")
+        self._check_held(degree)
         one = self.algebra.unit()
         return [self([one] + [b] * n) for n in range(degree + 1)]
 
@@ -593,7 +600,7 @@ def free_binomial_word_moment(
     a = np.asarray(a, dtype=complex)
     if not negligible(expectation(a), a):
         raise ValueError("model requires E[a] = 0")
-    if not algebra.contains(a @ np.array(algebra.basis()) @ a, stacked=True):
+    if not algebra.contains(a @ algebra.basis() @ a, stacked=True):
         raise ValueError("model requires a B a inside B")
     coeffs = _checked_coeffs(algebra, coeffs)
     n = len(coeffs) - 1

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import (Algebra, LinMap, algebra_from_json, algebra_to_json, element_to_json, json_loader,
-                      matrix_from_json, negligible)
+                      matrix_from_json, negligible, vec)
 from .jacobi import (  # MomentTable and params_moment_table live in jacobi and are re-exported here
     JacobiParams,
     MomentTable,
@@ -194,7 +194,6 @@ def free_convolve_word(model: JointModel, coeffs: Sequence[np.ndarray]) -> np.nd
 
 
 def free_convolve_moments(model: JointModel, degree: int) -> MomentTable:
-    check_degree(degree)
     return MomentTable(model.algebra, degree, lambda coeffs: free_convolve_word(model, coeffs))
 
 
@@ -216,16 +215,13 @@ def verify_jacobi_consistency(table: MomentTable) -> dict:
     """
     alg = table.algebra
     one = alg.unit()
-    basis = alg.basis()
-    m = len(basis)
-    d = alg.dim
-    grid = np.array(basis)  # each moment grid below is one engine call over stacked words
-
-    # beta_1 on the basis; the units of M_d outside B get zero columns
-    images = dict(zip((e.tobytes() for e in basis), table([one, grid, one])))
-    beta1 = LinMap.from_action(alg, lambda b: images.get(b.tobytes(), alg.zero()))
+    basis = alg.basis()  # (m, d, d): each moment grid below is one engine call over stacked words
+    m, d = len(basis), alg.dim
+    # row c reads the coordinate of basis[c] off a vectorization; the units of M_d outside B read zero
+    coords = vec(basis).conj()
+    beta1 = LinMap.from_dense(alg, vec(table([one, basis, one])).T @ coords)
     second = np.abs(beta1.dense)
-    third = table([one, grid[:, None], grid[None, :], one])
+    third = table([one, basis[:, None], basis[None, :], one])
     if not (negligible(table([one, one]), np.sqrt(second)) and negligible(third, second**1.5)):
         raise ValueError("consistency test requires a symmetric (odd moments zero) table")
 
@@ -233,7 +229,7 @@ def verify_jacobi_consistency(table: MomentTable) -> dict:
     # through the same map c -> beta_1(b1 basis[c] b3): one design matrix serves
     # every j, with one right-hand side per j.  The stacks are indexed (i, k, j) for the
     # triple (basis[i], basis[j], basis[k]); row p = i * m + k of a flattened stack is one pair.
-    b1, b2, b3 = grid[:, None, None], grid[None, None, :], grid[None, :, None]
+    b1, b2, b3 = basis[:, None, None], basis[None, None, :], basis[None, :, None]
     fourth = table([one, b1, b2, b3, one]).reshape(m * m, m, d, d)
     known = (beta1(b1) @ b2 @ beta1(b3)).reshape(m * m, m, d, d)
     lhs = fourth - known
@@ -249,8 +245,8 @@ def verify_jacobi_consistency(table: MomentTable) -> dict:
     worst = float(np.max(np.abs(residuals)))
 
     if negligible(residuals, fourth, known):
-        # beta_2 sends basis[j] to sum_c x[c, j] basis[c]; b has coordinates vdot(e, b) in the orthonormal basis
-        beta2 = LinMap.from_action(alg, lambda b: np.tensordot(x @ [np.vdot(e, b) for e in basis], grid, axes=1))
+        # beta_2 sends basis[j] to sum_c x[c, j] basis[c]
+        beta2 = LinMap.from_dense(alg, vec(basis).T @ x @ coords)
         return {"consistent": True, "beta1": beta1, "beta2": beta2, "residual": worst}
 
     # point at the worst coefficient triple

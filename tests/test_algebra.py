@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncfree.algebra import (
     Algebra,
@@ -14,6 +16,7 @@ from ncfree.algebra import (
     is_self_adjoint,
     linmap_from_json,
     linmap_to_json,
+    matrix_to_json,
     negligible,
     unit_matrix,
     unvec,
@@ -76,6 +79,29 @@ def test_apply_maps_a_stack_elementwise(d, make):
 def test_kraus_maps_are_cp():
     alg = Algebra("full", 2)
     assert LinMap.from_kraus(alg, [rand_mat(), rand_mat()]).is_cp()
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    kind=st.sampled_from(["full", "diagonal"]),
+    d=st.integers(min_value=1, max_value=3),
+    t=st.just(0.0) | st.floats(min_value=1e-6, max_value=1e6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_cp_survives_sums_compositions_and_nonnegative_scalings(kind, d, t, seed):
+    # with no Kraus family kept, every verdict below is the Choi test on the dense matrix
+    gen = np.random.default_rng(seed)
+    alg = Algebra(kind, d)
+
+    def kraus_map():
+        ks = [gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d)) for _ in range(2)]
+        return LinMap.from_kraus(alg, [np.diag(np.diag(k)) for k in ks] if kind == "diagonal" else ks)
+
+    phi, psi = kraus_map(), kraus_map()
+    assert (phi + psi).is_cp()
+    assert phi.compose(psi).is_cp()
+    assert phi.scale(t).is_cp()
+    assert not phi.scale(-1).is_cp()  # phi is nonzero
 
 
 def test_transpose_map_is_not_cp():
@@ -162,6 +188,25 @@ def test_linmap_json_roundtrip_kraus_and_dense():
     dense = LinMap.from_dense(alg, phi.dense)
     back2 = linmap_from_json(alg, json.loads(json.dumps(linmap_to_json(dense))))
     assert dense.isclose(back2)
+
+
+def test_linmap_json_loads_the_kraus_form_and_writes_dense():
+    alg = Algebra("full", 2)
+    ks = [rand_mat(), rand_mat()]
+    phi = LinMap.from_kraus(alg, ks)
+    obj = json.loads(json.dumps({"kraus": [matrix_to_json(a) for a in ks]}))
+    assert linmap_from_json(alg, obj).isclose(phi)
+    assert list(linmap_to_json(phi)) == ["dense"]
+
+
+@pytest.mark.parametrize("kind", ["full", "diagonal"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_basis_is_the_stack_of_matrix_units(kind, d):
+    units = [(i, i) for i in range(d)] if kind == "diagonal" else [(i, j) for i in range(d) for j in range(d)]
+    basis = Algebra(kind, d).basis()
+    assert basis.shape == (len(units), d, d) and basis.dtype == complex
+    for b, (i, j) in zip(basis, units):
+        assert np.array_equal(b, unit_matrix(d, i, j))
 
 
 def test_algebra_json_roundtrip():

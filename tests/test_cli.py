@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from ncfree.algebra import Algebra, LinMap
+from ncfree.algebra import Algebra, LinMap, algebra_to_json, element_to_json, matrix_to_json
 from ncfree.cli import main
 from ncfree.jacobi import (
     params_to_json,
@@ -132,6 +132,19 @@ def test_moments_with_oracle(tmp_path, capsys):
     assert out["degree"] == 6
     assert np.isclose(out["value"][0][0][0], 5.0)  # Catalan number c_3
     assert out["max_deviation"] < 1e-9
+
+
+def test_moments_with_oracle_on_kraus_form_params(tmp_path, capsys):
+    alg = Algebra("full", 2)
+    alpha = {"kraus": [matrix_to_json(np.array([[1, 2], [0, 1j]])), matrix_to_json(np.eye(2))]}
+    lam = element_to_json(alg, np.array([[1, 1j], [-1j, 2]]))
+    params = {"algebra": algebra_to_json(alg), "head_lambda": [lam], "head_alpha": [alpha],
+              "tail_lambda": lam, "tail_alpha": alpha, "positive": True}
+    pf = write_json(tmp_path, "kraus.json", params)
+    wf = write_json(tmp_path, "w2.json", word_to_json(alg, [np.eye(2)] * 5))
+    assert main(["moments", "--params", pf, "--word", wf, "--oracle"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["degree"] == 4 and out["max_deviation"] < 1e-9
 
 
 def test_moments_pretty_flag(tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncfree import jacobi
 from ncfree.algebra import Algebra, LinMap, flip_map, negligible
 from ncfree.jacobi import (
     DegreeCapError,
@@ -22,6 +23,7 @@ from ncfree.jacobi import (
 from ncfree.joint import (
     JointModel,
     colored_word,
+    free_convolve_moments,
     free_convolve_word,
     joint_moment,
     joint_moment_free_recursion,
@@ -76,6 +78,26 @@ def test_every_engine_entry_honours_degree_cap(entry, monkeypatch):
     ENTRIES[entry](4)
     with pytest.raises(DegreeCapError):
         ENTRIES[entry](6)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: moment_sequence(SEMI1, ONE1, 5), id="moment_sequence"),
+        pytest.param(lambda: params_moment_table(SEMI1, 5), id="params_moment_table"),
+        pytest.param(lambda: params_moment_table(SEMI1, 4).sequence(ONE1, 5), id="MomentTable.sequence"),
+        pytest.param(lambda: free_convolve_moments(MODEL1, 5), id="free_convolve_moments"),
+    ],
+)
+def test_moment_tables_refuse_a_degree_before_any_engine_call(call, monkeypatch):
+    monkeypatch.setenv("NCFREE_DEGREE_CAP", "4")
+    calls, engine = [], jacobi.nc_sum
+    monkeypatch.setattr(jacobi, "nc_sum", lambda *args: calls.append(args) or engine(*args))
+    with pytest.raises(DegreeCapError):
+        call()
+    assert calls == []
+    params_moment_table(SEMI1, 4).sequence(ONE1)  # within the cap every degree is one engine call
+    assert len(calls) == 5
 
 
 # -- coefficients outside B ------------------------------------------------------

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncfree.algebra import (Algebra, LinMap, algebra_from_json, flip_map, gram_psd_check, linmap_from_json, negligible,
-                            unit_matrix)
+from ncfree.algebra import (Algebra, LinMap, algebra_from_json, flip_map, gram_psd_check, linmap_from_json,
+                            matrix_to_json, negligible, unit_matrix)
 from ncfree.jacobi import (
     DegreeCapError,
     JacobiParams,
@@ -633,6 +633,20 @@ def test_params_json_roundtrip():
     q = params_from_json(json.loads(json.dumps(params_to_json(p))))
     assert q.isclose(p)
     assert q.positive == p.positive
+
+
+def test_params_json_writes_dense_and_loads_positive_kraus_maps():
+    kraus = [[rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(2)] for _ in range(2)]
+    head, tail = (LinMap.from_kraus(ALG2, ks) for ks in kraus)
+    p = JacobiParams(ALG2, (rand_sa(),), (head,), rand_sa(), tail, positive=True)
+    obj = json.loads(json.dumps(params_to_json(p)))
+    assert [list(a) for a in (*obj["head_alpha"], obj["tail_alpha"])] == [["dense"], ["dense"]]
+    obj["head_alpha"], obj["tail_alpha"] = (
+        [{"kraus": [matrix_to_json(a) for a in kraus[0]]}],
+        {"kraus": [matrix_to_json(a) for a in kraus[1]]},
+    )
+    q = params_from_json(json.loads(json.dumps(obj)))
+    assert q.positive is True and q.isclose(p)
 
 
 @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, [], {}])
