@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import sys
+from math import comb
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .scalar import (
     free_convolve_scalar,
     nu_moments,
     table_to_tsv,
+    tcnc_limit_row,
     tcnc_recursion,
     tcnc_table,
 )
@@ -67,53 +69,48 @@ def _load_json(path: str):
         with open(path) as fh:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"{path}: {exc}") from None
-
-
-class UsageError(Exception):
-    pass
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
 # count
 # ---------------------------------------------------------------------------
 
+# |TCNC_2^{k,l}(n)| three ways, in the order `--method all` prints them; the recursion
+# counts k = l only and the last two count even n only, which their callers check
+_TCNC2_ROUTES = {
+    "enumerate": lambda n, k, l: count_family("TCNC2^{k,l}", n, k, l),
+    "recursion": lambda n, k, l: 1 if n == 0 else tcnc_recursion(k, n // 2)[-1],
+    "cumulant": lambda n, k, l: int(free_convolve_scalar(nu_moments(k, n), nu_moments(l, n), n)[n]),
+}
+
 
 def cmd_count(args) -> int:
     family, n, k, l = args.family, args.n, args.k, args.l
     if n < 0:
-        raise UsageError("--n must be >= 0")
+        raise ValueError("--n must be >= 0")
     if family == "TCNC2" and (k is None or l is None):
-        raise UsageError("TCNC2 requires --k and --l")
-    methods = []
+        raise ValueError("TCNC2 requires --k and --l")
     if family in ("NC12", "NC2"):
         if args.method not in ("enumerate", "all"):
-            raise UsageError(f"--method {args.method} applies only to TCNC2")
-        fam = family if k is None else family + "^k"
-        methods.append(("enumerate", count_family(fam, n, k)))
+            raise ValueError(f"--method {args.method} applies only to TCNC2")
+        if l is not None:
+            raise ValueError("--l applies only to TCNC2")
+        counts = [("enumerate", count_family(family if k is None else family + "^k", n, k))]
     else:
         wanted = [args.method]
         if args.method == "all":
             # the recursion counts k = l >= 2 only; the other two routes count any (k, l)
-            wanted = ["enumerate", "recursion", "cumulant"] if k == l >= 2 else ["enumerate", "cumulant"]
+            wanted = [m for m in _TCNC2_ROUTES if m != "recursion" or k == l >= 2]
         elif args.method == "recursion" and k != l:
-            raise UsageError("--method recursion requires k = l")
-        if n % 2 and ("recursion" in wanted or "cumulant" in wanted):
-            raise UsageError("recursion/cumulant methods count even degrees only")
-        for meth in wanted:
-            if meth == "enumerate":
-                methods.append((meth, count_family("TCNC2^{k,l}", n, k, l)))
-            elif meth == "recursion":
-                methods.append((meth, 1 if n == 0 else tcnc_recursion(k, n // 2)[-1]))
-            elif meth == "cumulant":
-                mk = nu_moments(k, n)
-                ml = nu_moments(l, n)
-                val = free_convolve_scalar(mk, ml, n)[n]
-                methods.append((meth, int(val)))
-    for _, value in methods:
+            raise ValueError("--method recursion requires k = l")
+        if n % 2 and wanted != ["enumerate"]:
+            raise ValueError("recursion/cumulant methods count even degrees only")
+        counts = [(m, _TCNC2_ROUTES[m](n, k, l)) for m in wanted]
+    for _, value in counts:
         print(value)
-    if len({v for _, v in methods}) > 1:
-        print("method disagreement: " + ", ".join(f"{m}={v}" for m, v in methods), file=sys.stderr)
+    if len({v for _, v in counts}) > 1:
+        print("method disagreement: " + ", ".join(f"{m}={v}" for m, v in counts), file=sys.stderr)
         return EXIT_CHECK_FAILED
     return EXIT_OK
 
@@ -125,7 +122,7 @@ def cmd_count(args) -> int:
 
 def cmd_table(args) -> int:
     if args.kmax < 2 or args.nmax < 2 or args.nmax % 2:
-        raise UsageError("require --kmax >= 2 and even --nmax >= 2")
+        raise ValueError("require --kmax >= 2 and even --nmax >= 2")
     sys.stdout.write(table_to_tsv(tcnc_table(args.kmax, args.nmax // 2)))
     return EXIT_OK
 
@@ -135,19 +132,25 @@ def cmd_table(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _report(degree: int, value, oracle, pretty: bool) -> int:
+    """Emit {degree, value}; a callable `oracle` (None without --oracle) adds its value and
+    the largest entrywise deviation from it."""
+    out = {"degree": degree, "value": matrix_to_json(value)}
+    if oracle is not None:
+        other = oracle()
+        out["oracle_value"] = matrix_to_json(other)
+        out["max_deviation"] = float(np.max(np.abs(value - other)))
+    _emit(out, pretty)
+    return EXIT_OK
+
+
 def cmd_moments(args) -> int:
     params = params_from_json(_load_json(args.params))
     alg, coeffs = word_from_json(_load_json(args.word))
     if alg != params.algebra:
-        raise UsageError("word and parameters use different algebras")
-    value = moment(params, coeffs)
-    out = {"degree": len(coeffs) - 1, "value": matrix_to_json(value)}
-    if args.oracle:
-        other = fock_moment(params, coeffs)
-        out["oracle_value"] = matrix_to_json(other)
-        out["max_deviation"] = float(np.max(np.abs(value - other)))
-    _emit(out, args.pretty)
-    return EXIT_OK
+        raise ValueError("word and parameters use different algebras")
+    oracle = (lambda: fock_moment(params, coeffs)) if args.oracle else None
+    return _report(len(coeffs) - 1, moment(params, coeffs), oracle, args.pretty)
 
 
 def cmd_joint(args) -> int:
@@ -155,25 +158,19 @@ def cmd_joint(args) -> int:
     try:
         model = JointModel(params_from_json(obj["params1"]), params_from_json(obj["params2"]))
     except (KeyError, TypeError) as exc:  # a field missing, or JSON of another type than an object
-        raise UsageError(f"model file needs the objects params1 and params2 ({exc})") from None
+        raise ValueError(f"model file needs the objects params1 and params2 ({exc})") from None
     word = colored_word_from_json(_load_json(args.word))
     if word.algebra != model.algebra:
-        raise UsageError("word and model use different algebras")
-    value = joint_moment(model, word)
-    out = {"degree": word.degree, "value": matrix_to_json(value)}
-    if args.oracle:
-        other = joint_moment_free_recursion(model, word)
-        out["oracle_value"] = matrix_to_json(other)
-        out["max_deviation"] = float(np.max(np.abs(value - other)))
-    _emit(out, args.pretty)
-    return EXIT_OK
+        raise ValueError("word and model use different algebras")
+    oracle = (lambda: joint_moment_free_recursion(model, word)) if args.oracle else None
+    return _report(word.degree, joint_moment(model, word), oracle, args.pretty)
 
 
 def cmd_convolve(args) -> int:
     p1 = params_from_json(_load_json(args.p1))
     p2 = params_from_json(_load_json(args.p2))
     if p1.algebra != p2.algebra:
-        raise UsageError("parameter sets use different algebras")
+        raise ValueError("parameter sets use different algebras")
     table = free_convolve_moments(JointModel(p1, p2), args.degree)
     seq = table.sequence(p1.algebra.unit())
     _emit(
@@ -188,50 +185,32 @@ def cmd_convolve(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _check(name: str, ok, detail: dict) -> dict:
+    return {"name": name, "pass": ok, "detail": detail}
+
+
 def _suite_table() -> list[dict]:
+    """The same three routes as `count --method all`, with the recursion's values taken
+    from the table `ncfree table` prints."""
     checks = []
-    expected_rows = tcnc_table(6, 6)
+    rows = tcnc_table(6, 6)
     ok_entries = 0
-    for label, rec_vals in expected_rows:
+    for label, rec_vals in rows:
         k = 7 if label.startswith("k>") else int(label)
-        mk = nu_moments(k, 12)
-        conv = free_convolve_scalar(mk, mk, 12)
-        for idx, n in enumerate(range(2, 13, 2)):
-            enum = count_family("TCNC2^{k,l}", n, k, k)
-            cum = int(conv[n])
-            if enum == cum == rec_vals[idx]:
+        for n, rec in zip(range(2, 13, 2), rec_vals):
+            vals = {m: rec if m == "recursion" else route(n, k, k) for m, route in _TCNC2_ROUTES.items()}
+            if len(set(vals.values())) == 1:
                 ok_entries += 1
             else:
-                checks.append(
-                    {
-                        "name": f"table[k={label}, n={n}]",
-                        "pass": False,
-                        "detail": {"enumerate": enum, "recursion": rec_vals[idx], "cumulant": cum},
-                    }
-                )
-    checks.append(
-        {
-            "name": "table entries (enumerate = recursion = cumulant)",
-            "pass": ok_entries == 36,
-            "detail": {"agreeing_entries": ok_entries, "expected": 36},
-        }
-    )
-    row2 = tcnc_recursion(2, 6)
-    checks.append(
-        {
-            "name": "k=2 row equals central binomials",
-            "pass": row2 == [2, 6, 20, 70, 252, 924],
-            "detail": {"row": row2},
-        }
-    )
-    stable = expected_rows[-1]
-    checks.append(
-        {
-            "name": "stabilized row equals 2^n Catalan(n)",
-            "pass": stable[0] == "k>6" and stable[1] == [2, 8, 40, 224, 1344, 8448],
-            "detail": {"label": stable[0], "row": stable[1]},
-        }
-    )
+                checks.append(_check(f"table[k={label}, n={n}]", False, vals))
+    checks.append(_check("table entries (enumerate = recursion = cumulant)", ok_entries == 36,
+                         {"agreeing_entries": ok_entries, "expected": 36}))
+    row2 = rows[0][1]
+    checks.append(_check("k=2 row equals central binomials", row2 == [comb(2 * n, n) for n in range(1, 7)],
+                         {"row": row2}))
+    label, row = rows[-1]
+    checks.append(_check("stabilized row equals 2^n Catalan(n)", label == "k>6" and row == tcnc_limit_row(6),
+                         {"label": label, "row": row}))
     return checks
 
 
@@ -245,13 +224,8 @@ def _suite_counterexample() -> list[dict]:
         4,
     )
     res = verify_jacobi_consistency(bflip)
-    checks = [
-        {
-            "name": "Bernoulli(flip) boxplus Bernoulli(identity) is not Jacobi",
-            "pass": not res["consistent"],
-            "detail": {"residual": res["residual"], "witness": res.get("witness")},
-        }
-    ]
+    checks = [_check("Bernoulli(flip) boxplus Bernoulli(identity) is not Jacobi", not res["consistent"],
+                     {"residual": res["residual"], "witness": res.get("witness")})]
     rng = np.random.default_rng(7)
     alg2 = Algebra("full", 2)
     k1 = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))]
@@ -259,18 +233,12 @@ def _suite_counterexample() -> list[dict]:
     s1 = semicircular(alg2, LinMap.from_kraus(alg2, k1))
     s2 = semicircular(alg2, LinMap.from_kraus(alg2, k2))
     res2 = verify_jacobi_consistency(free_convolve_moments(JointModel(s1, s2), 4))
-    checks.append(
-        {
-            "name": "semicircular boxplus semicircular stays Jacobi",
-            "pass": bool(res2["consistent"]),
-            "detail": {"residual": res2["residual"]},
-        }
-    )
+    checks.append(_check("semicircular boxplus semicircular stays Jacobi", bool(res2["consistent"]),
+                         {"residual": res2["residual"]}))
     return checks
 
 
 def _suite_two_by_two() -> list[dict]:
-    checks = []
     samples = [(3.0, 3.0), (3.0, 2.7), (4.0, 2.0), (5.0, 2.0), (-3.0, -3.0),
                (2.5, 4.0), (4.0, 4.0), (10.0, 0.9), (-5.0, -2.0), (7.0, 3.0)]
     worst, ok = 0.0, True
@@ -280,24 +248,13 @@ def _suite_two_by_two() -> list[dict]:
         g_diffs = [rep["g_mu_diff"], rep["g_conv_diff"]]
         ok = ok and negligible(g_diffs, rep["g_mu_closed"], rep["g_conv_closed"])
         ok = ok and negligible(rep["subordination_residual"], lam, gam)
-    checks.append(
-        {
-            "name": "closed forms vs series at 10 sample points",
-            "pass": ok,
-            "detail": {"worst_residual": worst},
-        }
-    )
+    checks = [_check("closed forms vs series at 10 sample points", ok, {"worst_residual": worst})]
     z = 3.0
     rep = two_by_two_model_check(z, z)
     arc = float(np.sqrt(z * z - 4))
     diag = np.diag(rep["f_conv_closed"]).real
-    checks.append(
-        {
-            "name": "lambda = gamma reduces to the arcsine F-transform",
-            "pass": negligible(diag - arc, diag, arc),
-            "detail": {"entries": list(diag), "sqrt(z^2-4)": arc},
-        }
-    )
+    checks.append(_check("lambda = gamma reduces to the arcsine F-transform", negligible(diag - arc, diag, arc),
+                         {"entries": list(diag), "sqrt(z^2-4)": arc}))
     return checks
 
 
@@ -309,13 +266,8 @@ def _suite_poisson_limit() -> list[dict]:
     r1 = errs[10] / errs[100]
     r2 = errs[100] / errs[1000]
     ok = 5.0 <= r1 <= 20.0 and 5.0 <= r2 <= 20.0
-    return [
-        {
-            "name": "degree-4 error decays like 1/N (N = 10, 100, 1000)",
-            "pass": ok,
-            "detail": {"errors": {str(k): v for k, v in errs.items()}, "ratios": [r1, r2]},
-        }
-    ]
+    return [_check("degree-4 error decays like 1/N (N = 10, 100, 1000)", ok,
+                   {"errors": {str(k): v for k, v in errs.items()}, "ratios": [r1, r2]})]
 
 
 SUITES = {
@@ -398,9 +350,6 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except DegreeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGREE_CAP

@@ -85,27 +85,24 @@ def nu_k(k: int) -> AtomicMeasure:
     return AtomicMeasure(atoms, weights)
 
 
+def nu_moments(k: int, degree: int) -> list[int]:
+    """Exact integer moments of nu_k through `degree`: the top-left entries of X_k^n,
+    n = 0..degree, for the k x k tridiagonal 0/1 matrix X_k, read off one walk."""
+    if k < 1 or degree < 0:
+        raise ValueError("k >= 1 and degree >= 0 required")
+    col = [1] + [0] * (k - 1)  # first column of X_k^n
+    out = [1]
+    for _ in range(degree):
+        col = [(col[i - 1] if i else 0) + (col[i + 1] if i + 1 < k else 0) for i in range(k)]
+        out.append(col[0])
+    return out
+
+
 def tridiagonal_moment(k: int, n: int) -> int:
     """Top-left entry of X_k^n for the k x k tridiagonal 0/1 matrix; exact."""
     if k < 1 or n < 0:
         raise ValueError("k >= 1 and n >= 0 required")
-    col = [0] * k
-    col[0] = 1
-    for _ in range(n):
-        nxt = [0] * k
-        for i, v in enumerate(col):
-            if v:
-                if i > 0:
-                    nxt[i - 1] += v
-                if i + 1 < k:
-                    nxt[i + 1] += v
-        col = nxt
-    return col[0]
-
-
-def nu_moments(k: int, degree: int) -> list[int]:
-    """Exact integer moments of nu_k through `degree` (tridiagonal route)."""
-    return [tridiagonal_moment(k, n) for n in range(degree + 1)]
+    return nu_moments(k, n)[-1]
 
 
 def _poly_series_div(num: list[Fraction], den: list[Fraction], degree: int) -> list[Fraction]:
@@ -143,39 +140,40 @@ def _conv(a: Sequence, b: Sequence, degree: int) -> list:
     return [sum(a[j] * b[n - j] for j in range(n + 1)) for n in range(degree + 1)]
 
 
+def _power_coefficients(m: Sequence, n_max: int):
+    """For n = 1..n_max, yield the coefficients [z^{n-s}] M(z)^s, s = 1..n, of M(z) = sum_j m_j z^j.
+    Step n grows each M^s by that one coefficient and reads m_0..m_{n-1} only, so a caller
+    may append m_n to `m` after it."""
+    powers = [[1] + [0] * n_max]  # powers[s]: the coefficients of M^s known so far
+    for n in range(1, n_max + 1):
+        powers.append([])
+        for s in range(1, n + 1):
+            powers[s].append(sum(powers[s - 1][j] * m[n - s - j] for j in range(n - s + 1)))
+        yield [powers[s][n - s] for s in range(1, n + 1)]
+
+
 def moments_to_cumulants(m: Sequence) -> list:
     """kappa_1..kappa_N from m_0=1, m_1..m_N via
     m_n = sum_s kappa_s * [coefficient of z^{n-s} in M(z)^s]."""
     if not m or m[0] != 1:
         raise ValueError("m_0 must be 1")
-    n_max = len(m) - 1
-    kappa = [None]  # 1-indexed
-    powers = [[1] + [0] * n_max]  # M^0
-    for s in range(1, n_max + 1):
-        powers.append(_conv(powers[-1], m, n_max))
-    for n in range(1, n_max + 1):
-        acc = m[n]
-        for s in range(1, n):
-            acc = acc - kappa[s] * powers[s][n - s]
+    kappa = []
+    for n, coeffs in enumerate(_power_coefficients(m, len(m) - 1), 1):
+        acc = m[n]  # the s = n coefficient is m_0^n = 1
+        for ks, c in zip(kappa, coeffs):
+            acc = acc - ks * c
         kappa.append(acc)
-    return kappa[1:]
+    return kappa
 
 
 def cumulants_to_moments(kappa: Sequence) -> list:
-    """Inverse transform: rebuild m_0..m_N from kappa_1..kappa_N.
-
-    The z^{n-s} coefficient of M(z)^s needs m_0..m_{n-s} only, so at degree n
-    every power M^s grows by that one coefficient from M^{s-1} and m."""
+    """Inverse transform: rebuild m_0..m_N from kappa_1..kappa_N."""
     if not kappa:
         raise ValueError("need kappa_1 at least")
     zero = kappa[0] * 0
     m = [zero + 1]
-    powers = [[1] + [0] * len(kappa)]  # powers[s]: the coefficients of M^s known so far
-    for n in range(1, len(kappa) + 1):
-        powers.append([])
-        for s in range(1, n + 1):
-            powers[s].append(sum(powers[s - 1][j] * m[n - s - j] for j in range(n - s + 1)))
-        m.append(sum((kappa[s - 1] * powers[s][n - s] for s in range(1, n + 1)), zero))
+    for coeffs in _power_coefficients(m, len(kappa)):
+        m.append(sum((ks * c for ks, c in zip(kappa, coeffs)), zero))
     return m
 
 

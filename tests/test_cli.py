@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ncfree.algebra import Algebra, LinMap, algebra_to_json, element_to_json, matrix_to_json
+from ncfree import cli
 from ncfree.cli import main
 from ncfree.jacobi import (
     params_to_json,
@@ -82,6 +83,9 @@ def test_count_usage_errors(capsys):
     assert main(["count", "--family", "TCNC2", "--n", "4"]) == 2
     assert main(["count", "--family", "TCNC2", "--n", "4", "--k", "2", "--l", "3", "--method", "recursion"]) == 2
     assert main(["count", "--family", "NC12", "--n", "4", "--method", "recursion"]) == 2
+    capsys.readouterr()
+    assert main(["count", "--family", "NC12", "--n", "4", "--k", "2", "--l", "7"]) == 2
+    assert capsys.readouterr() == ("", "error: --l applies only to TCNC2\n")
 
 
 @pytest.mark.parametrize(
@@ -145,6 +149,22 @@ def test_moments_with_oracle_on_kraus_form_params(tmp_path, capsys):
     assert main(["moments", "--params", pf, "--word", wf, "--oracle"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["degree"] == 4 and out["max_deviation"] < 1e-9
+
+
+def refuse(*_):
+    raise AssertionError("the oracle ran without --oracle")
+
+
+def test_oracles_run_only_on_request(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("ncfree.cli.fock_moment", refuse)
+    monkeypatch.setattr("ncfree.cli.joint_moment_free_recursion", refuse)
+    assert main(["moments", "--params", semicircular_file(tmp_path), "--word", unit_word_file(tmp_path, 4)]) == 0
+    assert set(json.loads(capsys.readouterr().out)) == {"degree", "value"}
+    sc = params_to_json(semicircular(ALG1, LinMap.from_dense(ALG1, ONE1)))
+    mf = write_json(tmp_path, "model.json", {"params1": sc, "params2": sc})
+    wf = write_json(tmp_path, "cw.json", colored_word_to_json(colored_word(ALG1, [ONE1] * 3, [BLUE, RED])))
+    assert main(["joint", "--model", mf, "--word", wf]) == 0
+    assert set(json.loads(capsys.readouterr().out)) == {"degree", "value"}
 
 
 def test_moments_pretty_flag(tmp_path, capsys):
@@ -281,6 +301,17 @@ def test_verify_suites(suite, capsys):
     assert main(["verify", "--suite", suite]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["pass"] is True
+
+
+def test_verify_table_reports_a_disagreeing_route(capsys, monkeypatch):
+    cumulant = cli._TCNC2_ROUTES["cumulant"]
+    monkeypatch.setitem(cli._TCNC2_ROUTES, "cumulant", lambda n, k, l: cumulant(n, k, l) + 1)
+    assert main(["verify", "--suite", "table"]) == 1
+    suite = json.loads(capsys.readouterr().out)["suites"]["table"]
+    assert suite["pass"] is False
+    record = next(c for c in suite["checks"] if c["name"] == "table[k=3, n=4]")
+    assert record["pass"] is False
+    assert record["detail"] == {"enumerate": 8, "recursion": 8, "cumulant": 9}
 
 
 def test_pretty_before_subcommand_is_usage_error(capsys):
