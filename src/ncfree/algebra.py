@@ -41,6 +41,8 @@ class Algebra:
     def __post_init__(self):
         if self.kind not in ("full", "diagonal"):
             raise ValueError(f"unknown algebra kind {self.kind!r}")
+        if type(self.dim) is not int:  # 2.0 and True compare like integers but are none
+            raise ValueError(f"dim must be an integer, got {self.dim!r}")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
 
@@ -255,10 +257,7 @@ def algebra_to_json(alg: Algebra) -> dict:
 
 @json_loader
 def algebra_from_json(obj) -> Algebra:
-    dim = obj["dim"]
-    if type(dim) is not int:  # a JSON integer; bool is a subclass of int
-        raise ValueError(f"algebra dim must be an integer, got {dim!r}")
-    return Algebra(obj["kind"], dim)
+    return Algebra(obj["kind"], obj["dim"])
 
 
 def element_to_json(alg: Algebra, mat: np.ndarray) -> dict:

@@ -80,7 +80,8 @@ def _load_json(path: str):
 # counts k = l only and the last two count even n only, which their callers check
 _TCNC2_ROUTES = {
     "enumerate": lambda n, k, l: count_family("TCNC2^{k,l}", n, k, l),
-    "recursion": lambda n, k, l: 1 if n == 0 else tcnc_recursion(k, n // 2)[-1],
+    # M_0 = 1; asking for M_2 too lets the recursion check k >= 2 at n = 0 as at every n
+    "recursion": lambda n, k, l: [1, *tcnc_recursion(k, max(n // 2, 1))][n // 2],
     "cumulant": lambda n, k, l: int(free_convolve_scalar(nu_moments(k, n), nu_moments(l, n), n)[n]),
 }
 

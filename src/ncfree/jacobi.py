@@ -49,6 +49,8 @@ class JacobiParams:
     positive: bool = False
 
     def __post_init__(self):
+        if type(self.positive) is not bool:  # a string such as "false" would read as true
+            raise ValueError(f"positive must be true or false, got {self.positive!r}")
         alg = self.algebra
         for lam in (*self.head_lambda, self.tail_lambda):
             if not alg.contains(np.asarray(lam)):
@@ -661,8 +663,6 @@ def params_to_json(p: JacobiParams) -> dict:
 @json_loader
 def params_from_json(obj) -> JacobiParams:
     alg = algebra_from_json(obj["algebra"])
-    if type(obj.get("positive", False)) is not bool:  # a string such as "false" is no JSON boolean
-        raise ValueError(f"params positive must be true or false, got {obj['positive']!r}")
     return JacobiParams(
         alg,
         tuple(matrix_from_json(e["entries"]) for e in obj["head_lambda"]),

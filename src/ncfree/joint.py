@@ -11,7 +11,7 @@ moment level, the degree-4 Jacobi-consistency test, and the closed-form
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
 from math import comb
 from typing import Sequence
 
@@ -101,18 +101,6 @@ def joint_moment(model: JointModel, w: ColoredWord) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _runs(colors: tuple[str, ...]) -> list[tuple[str, int, int]]:
-    """Maximal monochromatic intervals of positions 1..d, as (color, lo, hi)."""
-    runs = []
-    lo = 1
-    for i in range(2, len(colors) + 1):
-        if colors[i - 1] != colors[lo - 1]:
-            runs.append((colors[lo - 1], lo, i - 1))
-            lo = i
-    runs.append((colors[lo - 1], lo, len(colors)))
-    return runs
-
-
 def joint_moment_free_recursion(model: JointModel, w: ColoredWord) -> np.ndarray:
     """Compute the joint moment from the marginal engines alone.
 
@@ -124,58 +112,46 @@ def joint_moment_free_recursion(model: JointModel, w: ColoredWord) -> np.ndarray
                          factors in S replaced by their marginal expectations]
 
     and each replacement strictly lowers the degree, so the recursion closes
-    with single-color words handled by `moment`.
+    at words without symbols; a one-factor word is its subset S = {P_1}.
     """
     check_degree(w.degree)
-    alg = model.algebra
-    one = alg.unit()
-    memo: dict = {}  # rec's results under its (colors, coeffs) key, each run's marginal under (color, coeffs)
+    one = model.algebra.unit()
+    memo: dict = {}  # sub-words under (colors, coeffs), each run's marginal under (color, interior coeffs)
 
-    def key(coeffs, colors):
-        return colors, b"".join(np.asarray(c).tobytes() for c in coeffs)
-
-    def marginal_of_run(color, coeffs):
-        # coeffs are the interior b_p..b_{q-1}; the run reads X b_p X ... b_{q-1} X
-        k = key(coeffs, color)  # the subsets repeat runs: each distinct marginal is computed once
-        if k not in memo:
-            memo[k] = moment(model.by_color[color], [one, *coeffs, one])
-        return memo[k]
+    def cached(colors, coeffs, compute):
+        # exact bytes: words whose coefficients differ in any bit never share an entry
+        key = colors, b"".join(np.asarray(c).tobytes() for c in coeffs)
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
 
     def rec(coeffs: tuple, colors: tuple) -> np.ndarray:
         if not colors:
             return coeffs[0]
-        k = key(coeffs, colors)
-        if k in memo:
-            return memo[k]
-        runs = _runs(colors)
-        if len(runs) == 1:
-            out = coeffs[0] @ marginal_of_run(runs[0][0], coeffs[1:-1]) @ coeffs[-1]
-            memo[k] = out
-            return out
-        m = len(runs)
-        expect = [
-            marginal_of_run(c, coeffs[lo : hi])  # interior coefficients b_lo..b_{hi-1}
-            for (c, lo, hi) in runs
-        ]
-        total = alg.zero()
-        for size in range(1, m + 1):
-            sign = (-1) ** (size + 1)
-            for subset in combinations(range(m), size):
-                chosen = set(subset)
+        return cached(colors, coeffs, lambda: expand(coeffs, colors))
+
+    def expand(coeffs, colors):
+        runs, hi = [], 0  # (color, lo, hi, marginal expectation) of each run of positions lo..hi
+        for c, grp in groupby(colors):
+            lo, hi = hi + 1, hi + len(list(grp))
+            interior = coeffs[lo:hi]  # the run reads X b_lo X ... b_{hi-1} X
+            runs.append((c, lo, hi, cached(c, interior, lambda: moment(model.by_color[c], [one, *interior, one]))))
+        total = 0
+        for size in range(1, len(runs) + 1):
+            for subset in combinations(range(len(runs)), size):
                 new_coeffs: list[np.ndarray] = []
                 new_colors: list[str] = []
                 acc = coeffs[0]
-                for j, (c, lo, hi) in enumerate(runs):
-                    if j in chosen:
-                        acc = acc @ expect[j] @ coeffs[hi]
+                for j, (c, lo, hi, expect) in enumerate(runs):
+                    if j in subset:
+                        acc = acc @ expect @ coeffs[hi]
                     else:
-                        for pos in range(lo, hi + 1):
+                        for q in range(lo, hi + 1):
                             new_coeffs.append(acc)
                             new_colors.append(c)
-                            acc = coeffs[pos]
+                            acc = coeffs[q]
                 new_coeffs.append(acc)
-                total = total + sign * rec(tuple(new_coeffs), tuple(new_colors))
-        memo[k] = total
+                total = total + (-1) ** (size + 1) * rec(tuple(new_coeffs), tuple(new_colors))
         return total
 
     return rec(w.coeffs, w.colors)

@@ -135,9 +135,11 @@ def _colored_nc12(
     yield from walk(1, (n + 1, None, 0, None))
 
 
-def enumerate_nc12(n: int, pairs_only: bool = False) -> Iterator[Partition12]:
-    """Yield NC_{1,2}(n) (or NC_2(n) if pairs_only), canonical order."""
-    return enumerate_nc12_depth(n, math.inf, pairs_only)
+def enumerate_nc12(n: int, pairs_only: bool = False, k: float = math.inf) -> Iterator[Partition12]:
+    """Yield NC_{1,2}(n) (or NC_2(n) if pairs_only) in canonical order; with k,
+    only the partitions whose pair blocks all have depth < k (NC_{1,2}^k(n))."""
+    for blocks in _colored_nc12(n, [(BLUE,)] * n, pairs_only, k):
+        yield Partition12(n, tuple(blk for blk, _, _ in blocks))
 
 
 def block_depths(p: Partition12 | ColoredPartition) -> tuple[int, ...]:
@@ -161,15 +163,15 @@ def relative_depths(p: ColoredPartition) -> tuple[int, ...]:
     return tuple(out)
 
 
-def enumerate_nc12_depth(n: int, k: int, pairs_only: bool = False) -> Iterator[Partition12]:
-    """Yield NC_{1,2}^k(n): partitions whose pair blocks all have depth < k."""
-    for blocks in _colored_nc12(n, [(BLUE,)] * n, pairs_only, k):
-        yield Partition12(n, tuple(blk for blk, _, _ in blocks))
-
-
-def enumerate_tcnc(n: int, pairs_only: bool = False) -> Iterator[ColoredPartition]:
-    """Yield TCNC_{1,2}(n) (or TCNC_2(n) if pairs_only)."""
-    return enumerate_tcnc_depth(n, math.inf, math.inf, pairs_only)
+def enumerate_tcnc(
+    n: int, pairs_only: bool = False, k: float = math.inf, l: float = math.inf
+) -> Iterator[ColoredPartition]:
+    """Yield TCNC_{1,2}(n) (or TCNC_2(n) if pairs_only); with k and l, only
+    those whose blue pairs have relative depth < k and red pairs < l
+    (TCNC_{1,2}^{k,l}(n))."""
+    for blocks in _colored_nc12(n, [(BLUE, RED)] * n, pairs_only, k, l):
+        base = Partition12(n, tuple(blk for blk, _, _ in blocks))
+        yield ColoredPartition(base, tuple(c for _, c, _ in blocks))
 
 
 def tcnc_depth_ok(cp: ColoredPartition, k: int, l: int) -> bool:
@@ -186,13 +188,6 @@ def tcnc_depth_ok(cp: ColoredPartition, k: int, l: int) -> bool:
         for blk, c, d in zip(cp.base.blocks, cp.color, rel)
         if len(blk) == 2
     )
-
-
-def enumerate_tcnc_depth(n: int, k: int, l: int, pairs_only: bool = False) -> Iterator[ColoredPartition]:
-    """Yield TCNC_{1,2}^{k,l}(n) (or TCNC_2^{k,l}(n) if pairs_only)."""
-    for blocks in _colored_nc12(n, [(BLUE, RED)] * n, pairs_only, k, l):
-        base = Partition12(n, tuple(blk for blk, _, _ in blocks))
-        yield ColoredPartition(base, tuple(c for _, c, _ in blocks))
 
 
 def count_family(family: str, n: int, k: Optional[int] = None, l: Optional[int] = None) -> int:

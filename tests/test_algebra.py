@@ -227,6 +227,12 @@ def test_complex_json_rejects_non_numbers(v):
         complex_from_json(v)
 
 
+@pytest.mark.parametrize("dim", [2.0, True, False, "2", None, np.int64(2)])
+def test_algebra_rejects_non_integer_dim(dim):
+    with pytest.raises(ValueError, match="dim must be an integer"):
+        Algebra("full", dim)
+
+
 @pytest.mark.parametrize("dim", [2.7, 2.0, True, "2", None])
 def test_algebra_json_rejects_non_integer_dim(dim):
     with pytest.raises(ValueError, match="dim must be an integer"):

@@ -75,8 +75,10 @@ def test_count_all_methods_skip_recursion_below_depth_two(capsys):
     rc = main(["count", "--family", "TCNC2", "--n", "4", "--k", "1", "--l", "1", "--method", "all"])
     assert rc == 0
     assert capsys.readouterr().out.split() == ["0", "0"]
-    rc = main(["count", "--family", "TCNC2", "--n", "4", "--k", "1", "--l", "1", "--method", "recursion"])
-    assert rc == 2
+    for n in ("0", "4"):  # the recursion refuses k = 1 at every degree, n = 0 included
+        rc = main(["count", "--family", "TCNC2", "--n", n, "--k", "1", "--l", "1", "--method", "recursion"])
+        assert rc == 2
+        assert capsys.readouterr() == ("", "error: k >= 2 and n_max >= 1 required\n")
 
 
 def test_count_usage_errors(capsys):

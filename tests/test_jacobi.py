@@ -534,6 +534,12 @@ def test_positive_flag_validation():
         JacobiParams(ALG2, (), (transpose,), ALG2.zero(), transpose, positive=True)
 
 
+@pytest.mark.parametrize("positive", ["false", "true", 0, 1, None])
+def test_params_reject_non_boolean_positive(positive):
+    with pytest.raises(ValueError, match="positive must be true or false"):
+        JacobiParams(ALG1, (), (), ONE1, LinMap.from_dense(ALG1, ONE1), positive=positive)
+
+
 def test_gram_positivity_of_moments():
     p = rand_params(positive=True)
     units = [unit_matrix(2, i, j) for i in range(2) for j in range(2)]

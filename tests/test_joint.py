@@ -37,7 +37,7 @@ from ncfree.partitions import (
     ColoredPartition,
     Partition12,
     count_family,
-    enumerate_tcnc_depth,
+    enumerate_tcnc,
 )
 from ncfree.scalar import free_convolve_scalar, nu_moments
 
@@ -46,6 +46,7 @@ rng = np.random.default_rng(11)
 ALG1 = Algebra("full", 1)
 ONE1 = np.eye(1, dtype=complex)
 ALG2 = Algebra("full", 2)
+ALGD = Algebra("diagonal", 2)
 
 
 def rand_sa(d=2):
@@ -68,7 +69,17 @@ def rand_params(alg=ALG2):
             tail_lambda=float(rng.normal()),
             tail_alpha=float(rng.normal() ** 2 + 0.1),
         )
+    if alg.kind == "diagonal":  # diagonal lambdas; the flip Kraus operator mixes the diagonal entries
+        def cp():
+            return LinMap.from_kraus(alg, [np.diag(rng.normal(size=2)), np.diag(rng.normal(size=2))[::-1]])
+
+        return JacobiParams(alg, (rand_element(alg), rand_element(alg)), (cp(),), rand_element(alg), cp())
     return JacobiParams(alg, (rand_sa(), rand_sa()), (rand_cp(),), rand_sa(), rand_cp())
+
+
+def rand_element(alg):
+    a = rng.normal(size=(alg.dim, alg.dim)) + 1j * rng.normal(size=(alg.dim, alg.dim))
+    return np.diag(np.diag(a.real)) if alg.kind == "diagonal" else a + a.conj().T
 
 
 def scalar_model(p1, p2):
@@ -154,6 +165,14 @@ def test_partition_sum_matches_freeness_recursion():
                 a = joint_moment(model, w)
                 b = joint_moment_free_recursion(model, w)
                 assert np.allclose(a, b, atol=1e-9), (alg.dim, colors)
+    # degrees 7 and 8, as `joint --oracle` meets them: alternating runs of two, single symbols, one run
+    for alg in (ALG2, ALGD):
+        model = JointModel(rand_params(alg), rand_params(alg))
+        for colors in ("bbrrbbrr", "rrbbrrbb", "brbrbrbr", "rrrrrrr"):
+            cs = [rand_element(alg) for _ in range(len(colors) + 1)]
+            w = colored_word(alg, cs, colors)
+            a = joint_moment(model, w)
+            assert negligible(joint_moment_free_recursion(model, w) - a, a), (alg.kind, colors)
 
 
 def test_free_recursion_keeps_nearby_words_apart():
@@ -187,7 +206,7 @@ def test_depth_truncation_matches_depth_filtered_sum():
             full_model = JointModel(p1, p2)
             filtered = sum(
                 e_pi(full_model, w, cp)
-                for cp in enumerate_tcnc_depth(n, k, l)
+                for cp in enumerate_tcnc(n, k=k, l=l)
                 if tuple(cp.element_color(i) for i in range(1, n + 1)) == colors
             )
             assert np.allclose(joint_moment(model, w), filtered, atol=1e-10)
@@ -263,13 +282,7 @@ def test_free_convolution_is_sum_over_color_sequences(kind):
     def elem():
         return into(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
 
-    def b_params():
-        def cp():
-            return LinMap.from_kraus(alg, [elem(), elem()])
-
-        return JacobiParams(alg, (into(rand_sa()), into(rand_sa())), (cp(),), into(rand_sa()), cp())
-
-    model = JointModel(b_params(), b_params())
+    model = JointModel(rand_params(alg), rand_params(alg))
     for n in range(6):
         cs = [elem() for _ in range(n + 1)]
         expected = sum(

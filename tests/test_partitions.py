@@ -16,9 +16,7 @@ from ncfree.partitions import (
     block_depths,
     count_family,
     enumerate_nc12,
-    enumerate_nc12_depth,
     enumerate_tcnc,
-    enumerate_tcnc_depth,
     relative_depths,
     tcnc_depth_ok,
 )
@@ -95,10 +93,10 @@ def test_color_swap_preserves_relative_depths():
 
 def test_nc12_depth_truncation():
     # NC_{1,2}(4) has 9 elements and exactly one contains a depth-2 pair
-    assert sum(1 for _ in enumerate_nc12_depth(4, 2)) == 8
-    assert sum(1 for _ in enumerate_nc12_depth(4, 1)) == 1  # no pairs survive k=1
+    assert sum(1 for _ in enumerate_nc12(4, k=2)) == 8
+    assert sum(1 for _ in enumerate_nc12(4, k=1)) == 1  # no pairs survive k=1
     for n in range(7):
-        assert sum(1 for _ in enumerate_nc12_depth(n, 99)) == MOTZKIN[n]
+        assert sum(1 for _ in enumerate_nc12(n, k=99)) == MOTZKIN[n]
 
 
 def test_tcnc_pairings_count():
@@ -125,7 +123,7 @@ def test_depth_filter_matches_predicate():
             direct = {
                 str(cp) for cp in enumerate_tcnc(n) if tcnc_depth_ok(cp, k, l)
             }
-            filtered = {str(cp) for cp in enumerate_tcnc_depth(n, k, l)}
+            filtered = {str(cp) for cp in enumerate_tcnc(n, k=k, l=l)}
             assert direct == filtered
 
 
@@ -150,8 +148,8 @@ def test_enumerated_partitions_are_valid(n):
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=4))
 @settings(max_examples=20, deadline=None)
 def test_depth_bound_monotone(n, k):
-    a = sum(1 for _ in enumerate_nc12_depth(n, k))
-    b = sum(1 for _ in enumerate_nc12_depth(n, k + 1))
+    a = sum(1 for _ in enumerate_nc12(n, k=k))
+    b = sum(1 for _ in enumerate_nc12(n, k=k + 1))
     assert a <= b
 
 
