@@ -10,7 +10,7 @@ for the diagonal kind, and lambdas that are not self-adjoint).
 
 Prints worst-case relative deviations; exit code 1 if any exceeds 1e-9.
 
-Usage: python3 scripts/oracle_sweep.py [--trials 200] [--seed 0] [--degree 6]
+Usage: python3 scripts/oracle_sweep.py [--trials 200] [--seed 0] [--degree 6]  (degree at most 8)
 """
 
 import argparse
@@ -21,7 +21,7 @@ import numpy as np
 
 from ncfree.algebra import Algebra, LinMap
 from ncfree.jacobi import JacobiParams, fock_moment, moment
-from ncfree.joint import JointModel, colored_word, joint_moment, joint_moment_free_recursion
+from ncfree.joint import ORACLE_RUN_CAP, JointModel, colored_word, joint_moment, joint_moment_free_recursion
 from ncfree.partitions import BLUE, RED
 
 
@@ -92,6 +92,8 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--degree", type=int, default=6)
     args = ap.parse_args()
+    if args.degree > ORACLE_RUN_CAP:  # every coloring of the degree, the alternating one included, meets the oracle
+        ap.error(f"--degree is at most {ORACLE_RUN_CAP}, the freeness oracle's cap on color runs")
     worst = 0.0
     # the algebraic case draws from its own stream, so the positive case sees the same inputs for a seed
     for algebraic in (False, True):

@@ -118,16 +118,6 @@ class LinMap:
         return cls(algebra, np.asarray(dense, dtype=complex))
 
     @classmethod
-    def from_action(cls, algebra: Algebra, action: Callable[[np.ndarray], np.ndarray]) -> "LinMap":
-        d = algebra.dim
-        dense = np.zeros((d * d, d * d), dtype=complex)
-        for j in range(d):
-            for i in range(d):
-                col = j * d + i  # column-major index of e_ij
-                dense[:, col] = vec(np.asarray(action(unit_matrix(d, i, j)), dtype=complex))
-        return cls(algebra, dense)
-
-    @classmethod
     def identity(cls, algebra: Algebra) -> "LinMap":
         d = algebra.dim
         return cls(algebra, np.eye(d * d, dtype=complex))
@@ -200,14 +190,6 @@ def flip_map(d: int = 2) -> LinMap:
     alg = Algebra("diagonal", d)
     kraus = [unit_matrix(d, i, j) for i in range(d) for j in range(d) if abs(i - j) == 1]
     return LinMap.from_kraus(alg, kraus)
-
-
-def gram_psd_check(grid: Sequence[Sequence[np.ndarray]]) -> bool:
-    """Assemble the block matrix [g_ij] and test positive semidefiniteness."""
-    n = len(grid)
-    if any(len(row) != n for row in grid):
-        raise ValueError("grid must be square")
-    return _is_psd(np.block([[np.asarray(g, dtype=complex) for g in row] for row in grid]))
 
 
 # ---------------------------------------------------------------------------

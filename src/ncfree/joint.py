@@ -20,6 +20,7 @@ import numpy as np
 from .algebra import (Algebra, LinMap, algebra_from_json, algebra_to_json, element_to_json, json_loader,
                       matrix_from_json, negligible, vec)
 from .jacobi import (  # MomentTable and params_moment_table live in jacobi and are re-exported here
+    DegreeCapError,
     JacobiParams,
     MomentTable,
     check_degree,
@@ -100,6 +101,8 @@ def joint_moment(model: JointModel, w: ColoredWord) -> np.ndarray:
 # Freeness-recursion oracle
 # ---------------------------------------------------------------------------
 
+ORACLE_RUN_CAP = 8  # the cost grows steeply with the runs: on full d = 2, 8 take 0.1-0.2 s and 10 over 1 s
+
 
 def joint_moment_free_recursion(model: JointModel, w: ColoredWord) -> np.ndarray:
     """Compute the joint moment from the marginal engines alone.
@@ -113,8 +116,12 @@ def joint_moment_free_recursion(model: JointModel, w: ColoredWord) -> np.ndarray
 
     and each replacement strictly lowers the degree, so the recursion closes
     at words without symbols; a one-factor word is its subset S = {P_1}.
+    A word of more than ORACLE_RUN_CAP factors raises DegreeCapError.
     """
     check_degree(w.degree)
+    runs = sum(1 for _ in groupby(w.colors))
+    if runs > ORACLE_RUN_CAP:
+        raise DegreeCapError(f"word has {runs} color runs; the freeness oracle is capped at {ORACLE_RUN_CAP}")
     one = model.algebra.unit()
     memo: dict = {}  # sub-words under (colors, coeffs), each run's marginal under (color, interior coeffs)
 

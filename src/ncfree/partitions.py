@@ -78,12 +78,6 @@ class ColoredPartition:
         if any(c not in (BLUE, RED) for c in self.color):
             raise ValueError("colors must be 'b' or 'r'")
 
-    def element_color(self, i: int) -> str:
-        for blk, c in zip(self.base.blocks, self.color):
-            if i in blk:
-                return c
-        raise ValueError(f"{i} not in partition")
-
     def __str__(self):
         return " ".join(
             "(" + ",".join(map(str, blk)) + "):" + c
@@ -142,12 +136,6 @@ def enumerate_nc12(n: int, pairs_only: bool = False, k: float = math.inf) -> Ite
         yield Partition12(n, tuple(blk for blk, _, _ in blocks))
 
 
-def block_depths(p: Partition12 | ColoredPartition) -> tuple[int, ...]:
-    """Absolute depth per block: 1 + number of pair blocks strictly covering it."""
-    base = p.base if isinstance(p, ColoredPartition) else p
-    return relative_depths(ColoredPartition(base, (BLUE,) * len(base.blocks)))
-
-
 def relative_depths(p: ColoredPartition) -> tuple[int, ...]:
     """Per-block depth with the two-color reset rule: count same-color pair
     covers walking outward, stopping at the first opposite-color cover."""
@@ -172,22 +160,6 @@ def enumerate_tcnc(
     for blocks in _colored_nc12(n, [(BLUE, RED)] * n, pairs_only, k, l):
         base = Partition12(n, tuple(blk for blk, _, _ in blocks))
         yield ColoredPartition(base, tuple(c for _, c, _ in blocks))
-
-
-def tcnc_depth_ok(cp: ColoredPartition, k: int, l: int) -> bool:
-    """Blue pairs have relative depth < k, red pairs < l.
-
-    Equivalent to the chain condition: any same-color nested chain of k
-    (resp. l) pairs is split by an opposite-color pair between its
-    outermost and innermost elements.
-    """
-    rel = relative_depths(cp)
-    bound = {BLUE: k, RED: l}
-    return all(
-        d < bound[c]
-        for blk, c, d in zip(cp.base.blocks, cp.color, rel)
-        if len(blk) == 2
-    )
 
 
 def count_family(family: str, n: int, k: Optional[int] = None, l: Optional[int] = None) -> int:

@@ -3,7 +3,7 @@ transforms, moment/free-cumulant transforms, scalar free convolution, the
 recursive two-color pairing counts, and the free binomial series.
 
 All counting paths and the subordination identity run in exact integer/rational
-arithmetic; floating point appears only in the Cauchy-transform sample check.
+arithmetic; floating point appears only in the atomic measures nu_k.
 """
 
 from __future__ import annotations
@@ -191,15 +191,6 @@ def free_convolve_scalar(m1: Sequence, m2: Sequence, degree: int) -> list:
 # ---------------------------------------------------------------------------
 # Cauchy-transform identities
 # ---------------------------------------------------------------------------
-
-
-def g_recursion_check(n: int, z: complex) -> float:
-    """|G_{nu_n}(z) - 1/(z - G_{nu_{n-1}}(z))| from the atomic sums."""
-    if n <= 1:
-        raise ValueError("n must be > 1")
-    g_n = nu_k(n).cauchy(z)
-    g_prev = nu_k(n - 1).cauchy(z)
-    return abs(g_n - 1 / (z - g_prev))
 
 
 def subordination_residual(m_prev: Sequence[int], m_conv: Sequence[int], degree: int) -> list[int]:

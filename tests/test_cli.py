@@ -189,6 +189,18 @@ def test_joint_with_oracle(tmp_path, capsys):
     assert out["max_deviation"] < 1e-9
 
 
+def test_joint_oracle_past_its_run_cap_exits_3(tmp_path, capsys):
+    sc = params_to_json(semicircular(ALG1, LinMap.from_dense(ALG1, ONE1)))
+    mf = write_json(tmp_path, "model.json", {"params1": sc, "params2": sc})
+    w = colored_word(ALG1, [ONE1] * 10, [BLUE, RED] * 4 + [BLUE])
+    wf = write_json(tmp_path, "cw.json", colored_word_to_json(w))
+    assert main(["joint", "--model", mf, "--word", wf]) == 0
+    capsys.readouterr()
+    assert main(["joint", "--model", mf, "--word", wf, "--oracle"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "9 color runs" in captured.err
+
+
 def test_convolve_semicirculars(tmp_path, capsys):
     p1 = semicircular_file(tmp_path, "a.json", scale=1.0)
     p2 = semicircular_file(tmp_path, "b.json", scale=2.0)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncfree.algebra import (Algebra, LinMap, algebra_from_json, flip_map, gram_psd_check, linmap_from_json,
-                            matrix_to_json, negligible, unit_matrix)
+from ncfree.algebra import (Algebra, LinMap, algebra_from_json, flip_map, linmap_from_json, matrix_to_json,
+                            negligible, unit_matrix)
 from ncfree.jacobi import (
     DegreeCapError,
     JacobiParams,
@@ -46,6 +46,7 @@ from ncfree.jacobi import (
 )
 from ncfree.joint import JointModel, colored_word_from_json, free_convolve_word
 from ncfree.scalar import moments_to_cumulants
+from reference import gram_psd_check, linmap_from_action
 
 rng = np.random.default_rng(3)
 
@@ -529,7 +530,7 @@ def test_positive_flag_validation():
             LinMap.zero(ALG2),
             positive=True,
         )
-    transpose = LinMap.from_action(ALG2, lambda b: b.T)
+    transpose = linmap_from_action(ALG2, lambda b: b.T)
     with pytest.raises(ValueError):
         JacobiParams(ALG2, (), (transpose,), ALG2.zero(), transpose, positive=True)
 
@@ -552,6 +553,39 @@ def test_gram_positivity_of_moments():
             for (dj, uj) in monomials
         ]
         for (di, ui) in monomials
+    ]
+    assert gram_psd_check(grid)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    kind=st.sampled_from(["full", "diagonal"]),
+    degrees=st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=4),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_gram_positivity_of_random_words(kind, degrees, seed):
+    # words w_i = b_0 X b_1 ... X b_k with random coefficients: [mu(w_i* w_j)] is PSD for a positive law
+    r = np.random.default_rng(seed)
+    alg = Algebra(kind, 2)
+
+    def element():
+        a = r.normal(size=(2, 2)) + 1j * r.normal(size=(2, 2))
+        return np.diag(np.diag(a)) if kind == "diagonal" else a
+
+    def lam():
+        a = element()
+        return a + a.conj().T
+
+    def alpha():
+        if kind == "diagonal":  # diagonal Kraus operators and a flipped one keep D_2
+            return LinMap.from_kraus(alg, [np.diag(r.normal(size=2)), np.diag(r.normal(size=2))[::-1]])
+        return LinMap.from_kraus(alg, [element(), element()])
+
+    p = JacobiParams(alg, (lam(), lam()), (alpha(), alpha()), lam(), alpha(), positive=True)
+    words = [[element() for _ in range(k + 1)] for k in degrees]
+    grid = [
+        [moment(p, [b.conj().T for b in wi[:0:-1]] + [wi[0].conj().T @ wj[0]] + wj[1:]) for wj in words]
+        for wi in words
     ]
     assert gram_psd_check(grid)
 

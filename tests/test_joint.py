@@ -35,11 +35,13 @@ from ncfree.partitions import (
     BLUE,
     RED,
     ColoredPartition,
+    DegreeCapError,
     Partition12,
     count_family,
     enumerate_tcnc,
 )
 from ncfree.scalar import free_convolve_scalar, nu_moments
+from reference import element_color, linmap_from_action
 
 rng = np.random.default_rng(11)
 
@@ -175,6 +177,17 @@ def test_partition_sum_matches_freeness_recursion():
             assert negligible(joint_moment_free_recursion(model, w) - a, a), (alg.kind, colors)
 
 
+def test_free_recursion_caps_the_runs():
+    # nine runs are refused before any marginal is computed; eight still match the partition sum
+    model = JointModel(rand_params(ALG2), rand_params(ALG2))
+    cs = [rand_element(ALG2) for _ in range(10)]
+    with pytest.raises(DegreeCapError, match="9 color runs"):
+        joint_moment_free_recursion(model, colored_word(ALG2, cs, "brbrbrbrb"))
+    w = colored_word(ALG2, cs[:9], "brbrbrbr")
+    a = joint_moment(model, w)
+    assert negligible(joint_moment_free_recursion(model, w) - a, a)
+
+
 def test_free_recursion_keeps_nearby_words_apart():
     # sub-words whose coefficients differ only below 1e-12 must not share a memo entry
     p = scalar_jacobi(head_lambda=(1.0,), tail_lambda=1.0, tail_alpha=1.0)
@@ -207,7 +220,7 @@ def test_depth_truncation_matches_depth_filtered_sum():
             filtered = sum(
                 e_pi(full_model, w, cp)
                 for cp in enumerate_tcnc(n, k=k, l=l)
-                if tuple(cp.element_color(i) for i in range(1, n + 1)) == colors
+                if tuple(element_color(cp, i) for i in range(1, n + 1)) == colors
             )
             assert np.allclose(joint_moment(model, w), filtered, atol=1e-10)
 
@@ -386,7 +399,7 @@ def reference_consistency(table):
     alg = table.algebra
     one, basis = alg.unit(), alg.basis()
     m = len(basis)
-    beta1 = LinMap.from_action(alg, lambda b: table([one, b, one]) if alg.contains(b) else alg.zero())
+    beta1 = linmap_from_action(alg, lambda b: table([one, b, one]) if alg.contains(b) else alg.zero())
     pairs = list(product(range(m), repeat=2))
     fourth = np.array([[table([one, basis[i], bj, basis[k], one]) for bj in basis] for i, k in pairs])
     known = np.array([[beta1(basis[i]) @ bj @ beta1(basis[k]) for bj in basis] for i, k in pairs])
@@ -408,7 +421,7 @@ def reference_consistency(table):
     p, j = np.unravel_index(np.argmax(per_triple), per_triple.shape)
     triple = [basis[pairs[p][0]], basis[j], basis[pairs[p][1]]]
     consistent = negligible(residuals, fourth, known)
-    return consistent, float(np.max(np.abs(residuals))), beta1, LinMap.from_action(alg, beta2_action), triple
+    return consistent, float(np.max(np.abs(residuals))), beta1, linmap_from_action(alg, beta2_action), triple
 
 
 @pytest.mark.parametrize("which", ["counterexample", "semicircular", "diagonal semicircular"])

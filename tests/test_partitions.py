@@ -13,13 +13,12 @@ from ncfree.partitions import (
     DegreeCapError,
     Partition12,
     _colored_nc12,
-    block_depths,
     count_family,
     enumerate_nc12,
     enumerate_tcnc,
     relative_depths,
-    tcnc_depth_ok,
 )
+from reference import block_depths, tcnc_depth_ok
 
 MOTZKIN = [1, 1, 2, 4, 9, 21, 51, 127, 323, 835]
 CATALAN = [1, 1, 2, 5, 14, 42, 132]

@@ -22,7 +22,6 @@ from ncfree.scalar import (
     free_binomial_enumeration,
     free_binomial_series,
     free_convolve_scalar,
-    g_recursion_check,
     moments_to_cumulants,
     nu_k,
     nu_moments,
@@ -34,6 +33,7 @@ from ncfree.scalar import (
     tcnc_table,
     tridiagonal_moment,
 )
+from reference import g_recursion_check
 
 # Even moments of nu_k boxplus nu_k through degree 12, rows k = 2..6.
 # Each row is reproduced by the recursion, by the colored-partition count,

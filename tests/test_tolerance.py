@@ -17,6 +17,7 @@ from ncfree.jacobi import (
     semicircular,
 )
 from ncfree.joint import JointModel, free_convolve_moments, verify_jacobi_consistency
+from reference import linmap_from_action
 
 
 def rand_element(rng, alg, self_adjoint=True):
@@ -142,7 +143,7 @@ def test_scale_covariance(kind, d, n, k, seed):
         assert is_self_adjoint(s * x) == is_self_adjoint(x)
 
     # complete positivity of dense maps: a Kraus map and the transpose
-    maps = [LinMap.from_dense(alg, rand_kraus(rng, alg).dense), LinMap.from_action(alg, lambda b: b.T)]
+    maps = [LinMap.from_dense(alg, rand_kraus(rng, alg).dense), linmap_from_action(alg, lambda b: b.T)]
     for phi in maps:
         assert phi.scale(s * s).is_cp() == phi.is_cp()
 
