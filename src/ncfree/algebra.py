@@ -14,6 +14,7 @@ Every numerical verdict in the package goes through one relative rule,
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -214,15 +215,16 @@ def complex_to_json(z: complex) -> list[float]:
 
 
 def complex_from_json(v) -> complex:
-    """A JSON number or an [re, im] pair of numbers; anything else (a bool too) is a ValueError."""
-    def number(x):
-        return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A finite JSON number or an [re, im] pair of them; anything else is a ValueError: a bool, and NaN,
+    the infinities and literals past the float range (such as 1e400), which `json.load` accepts."""
+    def number(x):  # NaN fails the comparison, and an int is compared exactly, without overflow
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
     if number(v):
         return complex(v)
     if isinstance(v, list) and len(v) == 2 and all(map(number, v)):
         return complex(*v)
-    raise ValueError(f"a matrix entry must be a number or an [re, im] pair of numbers, got {v!r}")
+    raise ValueError(f"a matrix entry must be a finite number or an [re, im] pair of finite numbers, got {v!r}")
 
 
 def matrix_to_json(mat: np.ndarray) -> list[list[list[float]]]:

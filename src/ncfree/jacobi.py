@@ -33,8 +33,7 @@ from .algebra import (
     vec,
 )
 # the degree guard lives beside the enumeration it bounds; it is re-exported here
-from .partitions import (BLUE, DEFAULT_DEGREE_CAP, ColoredPartition, DegreeCapError, _colored_nc12, check_degree,
-                         relative_depths)
+from .partitions import BLUE, DEFAULT_DEGREE_CAP, ColoredPartition, DegreeCapError, check_degree, relative_depths
 from .scalar import free_binomial_closed as free_binomial_moment
 
 @dataclass(frozen=True)
@@ -142,45 +141,29 @@ def _tables(coeffs: np.ndarray, params: Mapping[str, JacobiParams]) -> tuple[dic
     return lam_b, alpha_b, (lambda x: x.reshape(*batch, -1, 1)) if batch else np.ndarray.ravel
 
 
-def _evaluate(
-    coeffs: Sequence[np.ndarray], blocks: Sequence[tuple], lam_b: dict, alpha_b: dict, flat: Callable, states: list
-) -> np.ndarray:
-    """Insert a lambda per singleton and apply an alpha across each pair.
-
-    `coeffs` is b_0..b_n and `blocks` lists (block, color, depth) in canonical
-    order, partitioning the X positions {1..n}; each block draws its
-    parameters from the `_tables` of its color at that depth.  `states[p]` is
-    the state after the first p blocks, (running product, open pairs as a
-    linked tuple (product before the pair, its alpha_b, its closer, outer
-    pairs)); evaluation resumes from the last entry and appends the rest.
-    """
-    out, opened = states[-1]
-    for blk, c, k in blocks[len(states) - 1 :]:
-        while opened and opened[2] < blk[0]:
-            before, a, _, opened = opened
-            out = before @ (a @ flat(out)).reshape(out.shape)
-        if len(blk) == 1:
-            out = out @ lam_b[c][k - 1][blk[0]]
-        else:
-            opened = (out, alpha_b[c][k - 1][blk[1]], blk[1], opened)
-            out = coeffs[blk[0]]
-        states.append((out, opened))
-    while opened:
-        before, a, _, opened = opened
-        out = before @ (a @ flat(out)).reshape(out.shape)
-    return out
-
-
 def evaluate_partition(
     coeffs: Sequence[np.ndarray],
     p: ColoredPartition,
     params: Mapping[str, JacobiParams],
 ) -> np.ndarray:
     """The term of `p` in the partition sum: each block draws its parameters from
-    `params[color]` at its reset depth (the absolute depth for one color)."""
+    `params[color]` at its reset depth (the absolute depth for one color), looked up
+    in the `_tables`; a singleton inserts lambda_k and a pair applies alpha_k across it."""
     coeffs = _checked_coeffs(next(iter(params.values())).algebra, coeffs)
-    blocks = list(zip(p.base.blocks, p.color, relative_depths(p)))
-    return _evaluate(coeffs, blocks, *_tables(coeffs, params), [(coeffs[0], None)])
+    lam_b, alpha_b, flat = _tables(coeffs, params)
+    out, opened = coeffs[0], []  # opened: (product before the pair, its alpha_b, its closer), innermost last
+    for blk, c, k in zip(p.base.blocks, p.color, relative_depths(p)):
+        while opened and opened[-1][2] < blk[0]:
+            before, a, _ = opened.pop()
+            out = before @ (a @ flat(out)).reshape(out.shape)
+        if len(blk) == 1:
+            out = out @ lam_b[c][k - 1][blk[0]]
+        else:
+            opened.append((out, alpha_b[c][k - 1][blk[1]], blk[1]))
+            out = coeffs[blk[0]]
+    for before, a, _ in reversed(opened):
+        out = before @ (a @ flat(out)).reshape(out.shape)
+    return out
 
 
 def _checked_coeffs(algebra: Algebra, coeffs: Sequence[np.ndarray]) -> np.ndarray:
@@ -206,10 +189,10 @@ def nc_sum(
     allowed at both ends of each block; colors[i-1] lists the colors allowed
     at position i.  The entry of every partition-sum engine: it checks the
     degree against the cap and the coefficients against the algebra, then
-    tabulates the parameters once for every term (`_tables`).  Each term
-    resumes from the state after the blocks it shares with the previous one.
+    tabulates the parameters once (`_tables`) and sums by first-return
+    recursion (Flajolet, Discrete Math. 32, 1980) rather than term by term.
     Coefficients may carry a leading batch shape, broadcast together: a grid of
-    equal-length words shares one enumeration and one set of tables.
+    equal-length words shares one recursion and one set of tables.
 
     When lambda_1..lambda_n are exactly zero, singleton blocks contribute
     nothing and the sum runs over pairings only.
@@ -218,17 +201,31 @@ def nc_sum(
     check_degree(n)
     coeffs = _checked_coeffs(next(iter(params.values())).algebra, coeffs)
     pairs_only = not any(np.any(lam) for par in params.values() for lam in (*par.head_lambda, par.tail_lambda)[:n])
-    tables, coeffs = _tables(coeffs, params), list(coeffs)  # a list indexes faster in the block loop
-    total = np.zeros_like(coeffs[0])
-    states, prev = [(coeffs[0], None)], ()
-    for blocks in _colored_nc12(n, colors, pairs_only):
-        shared = 0  # consecutive partitions share a prefix, since they come depth-first
-        while shared < len(prev) and blocks[shared] == prev[shared]:
-            shared += 1
-        del states[shared + 1 :]
-        total += _evaluate(coeffs, blocks, *tables, states)
-        prev = blocks
-    return total
+    zero = np.zeros_like(coeffs[0])
+    if pairs_only and n % 2:  # no pairing covers an odd number of positions
+        return zero
+    lam_b, alpha_b, flat = _tables(coeffs, params)
+    one = np.eye(coeffs[0].shape[-1], dtype=complex)
+
+    def inside(i: int, j: int, e: Optional[str], r: int) -> np.ndarray:
+        """X_i b_i ... X_j b_j summed over the partitions of i..j nested in a pair of color e at depth r:
+        split on the block of position i, a singleton or a pair (i, q), of a color c that resets the depth."""
+        if i > j:
+            return one
+        total = zero
+        for c in colors[i - 1]:
+            k = r + 1 if c == e else 1  # the tables repeat the head+1 entry at every deeper level
+            if not pairs_only:
+                total = total + lam_b[c][k - 1][i] @ inside(i + 1, j, e, r)
+            for q in range(i + 1, j + 1, 2 if pairs_only else 1):  # pairs only: even gaps inside
+                if c in colors[q - 1]:
+                    x = coeffs[i] @ inside(i + 1, q - 1, c, k)
+                    total = total + (alpha_b[c][k - 1][q] @ flat(x)).reshape(x.shape) @ inside(q + 1, j, e, r)
+        return total
+
+    out = coeffs[0] @ inside(1, n, None, 0)
+    del inside  # it refers to itself through its closure: a cycle that would hold the tables until a gc pass
+    return out
 
 
 def moment(params: JacobiParams, coeffs: Sequence[np.ndarray]) -> np.ndarray:
@@ -293,6 +290,9 @@ def scalar_moments(params: JacobiParams, degree: int) -> list[complex]:
 # ---------------------------------------------------------------------------
 
 
+FOCK_ENTRY_CAP = 2**23  # complex entries of the largest Fock component, 128 MiB: full d = 3 through degree 13
+
+
 def fock_moment(params: JacobiParams, coeffs: Sequence[np.ndarray]) -> np.ndarray:
     """<1, b_0 x b_1 x ... x b_n 1> with x = a* + p + a on the bimodule of
     elementary tensors; degree-m vectors are stored as flat arrays over the
@@ -300,14 +300,21 @@ def fock_moment(params: JacobiParams, coeffs: Sequence[np.ndarray]) -> np.ndarra
 
     Independent of the partition sum: the ladder operators are applied
     symbolically and the degree-0 component is read off at the end.
+    A word whose largest component, (d^2)^(n//2 + 1) entries, exceeds
+    FOCK_ENTRY_CAP raises DegreeCapError before anything is allocated.
     """
     n = len(coeffs) - 1
     check_degree(n)
+    d = params.algebra.dim
+    D = d * d
+    if D ** (n // 2 + 1) > FOCK_ENTRY_CAP:
+        raise DegreeCapError(
+            f"a degree-{n} word on d = {d} needs {D}^{n // 2 + 1} = {D ** (n // 2 + 1)} entries per Fock vector;"
+            f" the Fock oracle is capped at {FOCK_ENTRY_CAP}"
+        )
     coeffs = _checked_coeffs(params.algebra, coeffs)
     if coeffs.ndim > 3:
         raise ValueError("the Fock oracle takes one word: coefficients carry no batch axis")
-    d = params.algebra.dim
-    D = d * d
     eye = np.eye(d)
     vec_unit = vec(params.algebra.unit())
     # a component of degree m needs m steps up and m back down, so m <= n // 2;

@@ -57,10 +57,6 @@ class Partition12:
             if len(blk) == 2:
                 covers.append(blk)
 
-    @property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(blk for blk in self.blocks if len(blk) == 2)
-
     def __str__(self):
         return " ".join("(" + ",".join(map(str, blk)) + ")" for blk in self.blocks)
 

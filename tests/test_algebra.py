@@ -227,6 +227,14 @@ def test_complex_json_rejects_non_numbers(v):
         complex_from_json(v)
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1" + "0" * 400])
+@pytest.mark.parametrize("form", ["{}", "[{}, 0]", "[0, {}]"], ids=["bare", "real part", "imaginary part"])
+def test_complex_json_rejects_non_finite_numbers(literal, form):
+    # json.load reads these literals as NaN, an infinity or an int past the float range
+    with pytest.raises(ValueError, match="finite number"):
+        complex_from_json(json.loads(form.format(literal)))
+
+
 @pytest.mark.parametrize("dim", [2.0, True, False, "2", None, np.int64(2)])
 def test_algebra_rejects_non_integer_dim(dim):
     with pytest.raises(ValueError, match="dim must be an integer"):

@@ -201,6 +201,18 @@ def test_joint_oracle_past_its_run_cap_exits_3(tmp_path, capsys):
     assert captured.out == "" and "9 color runs" in captured.err
 
 
+def test_moments_oracle_past_its_memory_cap_exits_3(tmp_path, capsys):
+    # on full d = 4 a degree-10 word needs 16^6 entries per Fock vector, past the cap of 2^23
+    alg = Algebra("full", 4)
+    pf = write_json(tmp_path, "sc.json", params_to_json(semicircular(alg, LinMap.identity(alg))))
+    wf = write_json(tmp_path, "w.json", word_to_json(alg, [np.eye(4)] * 11))
+    assert main(["moments", "--params", pf, "--word", wf]) == 0
+    capsys.readouterr()
+    assert main(["moments", "--params", pf, "--word", wf, "--oracle"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Fock oracle is capped" in captured.err
+
+
 def test_convolve_semicirculars(tmp_path, capsys):
     p1 = semicircular_file(tmp_path, "a.json", scale=1.0)
     p2 = semicircular_file(tmp_path, "b.json", scale=2.0)
@@ -279,6 +291,15 @@ def test_non_number_matrix_entry_is_usage_error(tmp_path, capsys):
     wf = write_json(tmp_path, "w.json", word)
     assert main(["moments", "--params", semicircular_file(tmp_path), "--word", wf]) == 2
     assert "number or an [re, im] pair" in capsys.readouterr().err
+
+
+def test_non_finite_matrix_entry_is_usage_error(tmp_path, capsys):
+    params = params_to_json(semicircular(ALG1, LinMap.from_dense(ALG1, ONE1)))
+    params["tail_lambda"]["entries"] = [[float("nan")]]  # json.dumps writes the literal NaN
+    pf = write_json(tmp_path, "sc.json", params)
+    assert main(["moments", "--params", pf, "--word", unit_word_file(tmp_path, 2)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "finite number" in captured.err
 
 
 def wrong_type_probe(tmp_path, case):

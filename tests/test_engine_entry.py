@@ -213,10 +213,11 @@ def test_evaluate_partition_matches_per_block_formula(kind, d, heads, n, seed, p
     heads=st.tuples(st.integers(0, 2), st.integers(0, 2)),
     colors=st.lists(st.sampled_from([(BLUE,), (RED,), (BLUE, RED)]), max_size=7),
     zero_lambda=st.booleans(),
+    batch=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_resumed_sum_matches_per_partition_terms(kind, d, heads, colors, zero_lambda, seed):
-    # nc_sum resumes each term from the prefix it shares with the previous partition
+def test_nc_sum_matches_enumeration_oracle(kind, d, heads, colors, zero_lambda, batch, seed):
+    # the enumeration oracle: the paper's definition, one reference term per colored partition
     rng = np.random.default_rng(seed)
     alg = Algebra(kind, d)
     params = {}
@@ -225,14 +226,18 @@ def test_resumed_sum_matches_per_partition_terms(kind, d, heads, colors, zero_la
         if zero_lambda:  # the pairs-only path
             p = JacobiParams(alg, (alg.zero(),) * head, p.head_alpha, alg.zero(), p.tail_alpha)
         params[c] = p
-    coeffs = [rand_element(rng, alg) for _ in range(len(colors) + 1)]
+    # with a batch axis every coefficient stacks two words
+    coeffs = [np.array([rand_element(rng, alg) for _ in range(2)]) if batch else rand_element(rng, alg)
+              for _ in range(len(colors) + 1)]
     want = sum(reference_term(coeffs, blocks, params) for blocks in _colored_nc12(len(colors), colors))
-    assert_negligible(nc_sum(coeffs, colors, params), want)
+    got = nc_sum(coeffs, colors, params)
+    assert got.shape == ((2, d, d) if batch else (d, d))
+    assert_negligible(got, want)
 
 
 @pytest.mark.parametrize("kind", ["full", "diagonal"])
 def test_pairs_only_sum_matches_per_block_formula(kind):
-    # every lambda is exactly zero, so nc_sum skips the partitions with a singleton
+    # every lambda is exactly zero, so nc_sum skips the singleton terms
     rng = np.random.default_rng(11)
     alg = Algebra(kind, 2)
     params = {}
@@ -326,3 +331,14 @@ def test_fock_oracle_rejects_a_batch_axis(words):
     stack = np.array([np.eye(2) * (k + 1) for k in range(words)], dtype=complex)
     with pytest.raises(ValueError, match="batch"):
         fock_moment(semi, [np.eye(2), stack, np.eye(2)])
+
+
+def test_fock_oracle_caps_its_memory():
+    # full d = 3 holds 9^(n//2 + 1) entries in its largest Fock component: 9^7 at degree 12, 9^9 at degree 16
+    rng = np.random.default_rng(3)
+    alg = Algebra("full", 3)
+    p = rand_params(rng, alg, 2)
+    word = [rand_element(rng, alg) for _ in range(17)]
+    with pytest.raises(DegreeCapError, match="9\\^9 = 387420489 entries"):
+        fock_moment(p, word)
+    assert_negligible(fock_moment(p, word[:13]), moment(p, word[:13]))
