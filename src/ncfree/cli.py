@@ -133,12 +133,12 @@ def cmd_table(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _report(degree: int, value, oracle, pretty: bool) -> int:
-    """Emit {degree, value}; a callable `oracle` (None without --oracle) adds its value and
-    the largest entrywise deviation from it."""
+def _report(degree: int, value, other, pretty: bool) -> int:
+    """Emit {degree, value}; the oracle's value `other` (None without --oracle) adds itself
+    and the largest entrywise deviation from it.  Callers compute `other` before `value`,
+    so an oracle past its cap exits 3 before the engine spends its sum."""
     out = {"degree": degree, "value": matrix_to_json(value)}
-    if oracle is not None:
-        other = oracle()
+    if other is not None:
         out["oracle_value"] = matrix_to_json(other)
         out["max_deviation"] = float(np.max(np.abs(value - other)))
     _emit(out, pretty)
@@ -150,8 +150,8 @@ def cmd_moments(args) -> int:
     alg, coeffs = word_from_json(_load_json(args.word))
     if alg != params.algebra:
         raise ValueError("word and parameters use different algebras")
-    oracle = (lambda: fock_moment(params, coeffs)) if args.oracle else None
-    return _report(len(coeffs) - 1, moment(params, coeffs), oracle, args.pretty)
+    other = fock_moment(params, coeffs) if args.oracle else None
+    return _report(len(coeffs) - 1, moment(params, coeffs), other, args.pretty)
 
 
 def cmd_joint(args) -> int:
@@ -163,8 +163,8 @@ def cmd_joint(args) -> int:
     word = colored_word_from_json(_load_json(args.word))
     if word.algebra != model.algebra:
         raise ValueError("word and model use different algebras")
-    oracle = (lambda: joint_moment_free_recursion(model, word)) if args.oracle else None
-    return _report(word.degree, joint_moment(model, word), oracle, args.pretty)
+    other = joint_moment_free_recursion(model, word) if args.oracle else None
+    return _report(word.degree, joint_moment(model, word), other, args.pretty)
 
 
 def cmd_convolve(args) -> int:

@@ -81,6 +81,18 @@ class ColoredPartition:
         )
 
 
+def _nonempty(n: int, pairs_only: bool, k: float, l: float) -> bool:
+    """Check the arguments of both walks over the colored NC_{1,2}(n) tree, the
+    degree cap first, so every enumeration refuses more positions than the cap
+    before it starts; False when the family is empty (pairings of an odd n)."""
+    check_degree(n)
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if k < 1 or l < 1:
+        raise ValueError("depth bounds must be >= 1")
+    return not (pairs_only and n % 2)
+
+
 def _colored_nc12(
     n: int, colors: Sequence[Sequence[str]], pairs_only: bool = False, k: float = math.inf, l: float = math.inf
 ) -> Iterator[tuple[tuple[tuple[int, ...], str, int], ...]]:
@@ -88,14 +100,8 @@ def _colored_nc12(
     (block, color, depth) triples in canonical order.  colors[i-1] lists the
     colors allowed at position i and a block takes one allowed at both ends;
     its depth follows the reset rule (relative_depths) from the pair it is
-    generated under.  Pairs of depth >= k (blue) or >= l (red) are skipped.
-    Every enumeration runs here, so n is checked against the degree cap."""
-    check_degree(n)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if k < 1 or l < 1:
-        raise ValueError("depth bounds must be >= 1")
-    if pairs_only and n % 2:
+    generated under.  Pairs of depth >= k (blue) or >= l (red) are skipped."""
+    if not _nonempty(n, pairs_only, k, l):
         return
     bound = {BLUE: k, RED: l}
     out = []
@@ -123,6 +129,38 @@ def _colored_nc12(
                     out.pop()
 
     yield from walk(1, (n + 1, None, 0, None))
+
+
+def _count_colored_nc12(
+    n: int, colors: Sequence[Sequence[str]], pairs_only: bool = False, k: float = math.inf, l: float = math.inf
+) -> int:
+    """The number of partitions _colored_nc12 yields, by the same walk over the
+    same tree: a leaf counts 1 and a node the sum of its children, so every
+    partition is still reached, but none is built or yielded."""
+    if not _nonempty(n, pairs_only, k, l):
+        return 0
+    bound = {BLUE: k, RED: l}
+
+    def walk(i: int, cover: tuple) -> int:
+        # cover as in _colored_nc12
+        while i == cover[0]:
+            if cover[3] is None:
+                return 1
+            i, cover = i + 1, cover[3]
+        closer, cover_c, cover_d, _ = cover
+        allowed = colors[i - 1]
+        total = 0
+        if not pairs_only:
+            for c in allowed:
+                total += walk(i + 1, cover)
+        for q in range(i + 1, closer, 2 if pairs_only else 1):
+            for c in allowed:
+                d = cover_d + 1 if c == cover_c else 1
+                if d < bound[c] and c in colors[q - 1]:
+                    total += walk(i + 1, (q, c, d, cover))
+        return total
+
+    return walk(1, (n + 1, None, 0, None))
 
 
 def enumerate_nc12(n: int, pairs_only: bool = False, k: float = math.inf) -> Iterator[Partition12]:
@@ -159,7 +197,8 @@ def enumerate_tcnc(
 
 
 def count_family(family: str, n: int, k: Optional[int] = None, l: Optional[int] = None) -> int:
-    """Exact size of a partition family, by enumeration."""
+    """Exact size of a partition family, by enumeration: _count_colored_nc12
+    walks every member, counting it without building it."""
     one, two, inf = [(BLUE,)] * n, [(BLUE, RED)] * n, math.inf
     families = {  # family: (colors at each position, pairs only, k, l)
         "NC12": (one, False, inf, inf), "NC2": (one, True, inf, inf),
@@ -173,4 +212,4 @@ def count_family(family: str, n: int, k: Optional[int] = None, l: Optional[int] 
     missing = [name for name, bound in (("k", k), ("l", l)) if bound is None and name in family]
     if missing:
         raise ValueError(f"family {family} needs the depth bound {' and '.join(missing)}")
-    return sum(1 for _ in _colored_nc12(n, *families[family]))
+    return _count_colored_nc12(n, *families[family])

@@ -154,7 +154,7 @@ def test_moments_with_oracle_on_kraus_form_params(tmp_path, capsys):
 
 
 def refuse(*_):
-    raise AssertionError("the oracle ran without --oracle")
+    raise AssertionError("a function ran that this request must not run")
 
 
 def test_oracles_run_only_on_request(tmp_path, capsys, monkeypatch):
@@ -211,6 +211,25 @@ def test_moments_oracle_past_its_memory_cap_exits_3(tmp_path, capsys):
     assert main(["moments", "--params", pf, "--word", wf, "--oracle"]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "Fock oracle is capped" in captured.err
+
+
+def test_capped_moments_oracle_exits_before_the_engine(tmp_path, capsys, monkeypatch):
+    alg = Algebra("full", 4)
+    pf = write_json(tmp_path, "sc.json", params_to_json(semicircular(alg, LinMap.identity(alg))))
+    wf = write_json(tmp_path, "w.json", word_to_json(alg, [np.eye(4)] * 11))
+    monkeypatch.setattr("ncfree.cli.moment", refuse)
+    assert main(["moments", "--params", pf, "--word", wf, "--oracle"]) == 3
+    assert "Fock oracle is capped" in capsys.readouterr().err
+
+
+def test_capped_joint_oracle_exits_before_the_engine(tmp_path, capsys, monkeypatch):
+    sc = params_to_json(semicircular(ALG1, LinMap.from_dense(ALG1, ONE1)))
+    mf = write_json(tmp_path, "model.json", {"params1": sc, "params2": sc})
+    w = colored_word(ALG1, [ONE1] * 10, [BLUE, RED] * 4 + [BLUE])
+    wf = write_json(tmp_path, "cw.json", colored_word_to_json(w))
+    monkeypatch.setattr("ncfree.cli.joint_moment", refuse)
+    assert main(["joint", "--model", mf, "--word", wf, "--oracle"]) == 3
+    assert "9 color runs" in capsys.readouterr().err
 
 
 def test_convolve_semicirculars(tmp_path, capsys):

@@ -234,6 +234,37 @@ def test_count_family_matches_object_route():
             assert count_family(family, n, *K_L) == want, (family, n)
 
 
+def outcome(count):
+    try:
+        return count()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_counting_walk_matches_the_generator(family, monkeypatch):
+    colors, pairs_only, bounded = FAMILIES[family]
+    width = len(colors) if bounded else 0  # a bounded family takes one depth bound per color
+
+    def both(n, bounds):
+        walked = outcome(lambda: count_family(family, n, *bounds))
+        generated = outcome(lambda: sum(1 for _ in _colored_nc12(n, [colors] * n, pairs_only, *bounds)))
+        assert walked == generated, (family, n, bounds)
+        return walked
+
+    for n, bounds in product(range(11), product(range(1, 5), repeat=width)):
+        assert isinstance(both(n, bounds), int)
+    # bad arguments raise what the generator raises: the degree cap first, then n, then the bounds
+    monkeypatch.setenv("NCFREE_DEGREE_CAP", "6")
+    for n, bounds in product((-2, 4, 7, 40), product((0, 2), repeat=width)):
+        both(n, bounds)
+    assert both(7, (0,) * width)[0] is DegreeCapError
+    assert both(-2, (0,) * width) == (ValueError, "n must be nonnegative")
+    if bounded:
+        with pytest.raises(ValueError, match="needs the depth bound"):
+            count_family(family, 40)
+
+
 @pytest.mark.parametrize(
     "family, bounds, missing",
     [("NC12^k", (), "k"), ("NC2^k", (), "k"), ("TCNC^{k,l}", (2,), "l"), ("TCNC2^{k,l}", (), "k and l")],
