@@ -209,18 +209,21 @@ def nc_sum(
 
     def inside(i: int, j: int, e: Optional[str], r: int) -> np.ndarray:
         """X_i b_i ... X_j b_j summed over the partitions of i..j nested in a pair of color e at depth r:
-        split on the block of position i, a singleton or a pair (i, q), of a color c that resets the depth."""
+        split on the block of position i, a singleton or a pair (i, q), of a color c that resets the depth.
+        A block that ends at j adds its own factor, not its product with the empty rest (the unit)."""
         if i > j:
             return one
         total = zero
         for c in colors[i - 1]:
             k = r + 1 if c == e else 1  # the tables repeat the head+1 entry at every deeper level
             if not pairs_only:
-                total = total + lam_b[c][k - 1][i] @ inside(i + 1, j, e, r)
+                lam = lam_b[c][k - 1][i]
+                total = total + (lam if i == j else lam @ inside(i + 1, j, e, r))
             for q in range(i + 1, j + 1, 2 if pairs_only else 1):  # pairs only: even gaps inside
                 if c in colors[q - 1]:
                     x = coeffs[i] @ inside(i + 1, q - 1, c, k)
-                    total = total + (alpha_b[c][k - 1][q] @ flat(x)).reshape(x.shape) @ inside(q + 1, j, e, r)
+                    x = (alpha_b[c][k - 1][q] @ flat(x)).reshape(x.shape)
+                    total = total + (x if q == j else x @ inside(q + 1, j, e, r))
         return total
 
     out = coeffs[0] @ inside(1, n, None, 0)

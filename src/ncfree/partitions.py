@@ -208,8 +208,11 @@ def count_family(family: str, n: int, k: Optional[int] = None, l: Optional[int] 
     }
     if family not in families:
         raise ValueError(f"unknown family {family!r}")
-    # a bounded family spells its bounds in its name
+    # a bounded family spells its bounds in its name, and takes no other
     missing = [name for name, bound in (("k", k), ("l", l)) if bound is None and name in family]
     if missing:
         raise ValueError(f"family {family} needs the depth bound {' and '.join(missing)}")
+    unused = [name for name, bound in (("k", k), ("l", l)) if bound is not None and name not in family]
+    if unused:
+        raise ValueError(f"family {family} takes no depth bound {' and '.join(unused)}")
     return _count_colored_nc12(n, *families[family])

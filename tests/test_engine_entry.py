@@ -15,6 +15,8 @@ from ncfree.jacobi import (
     JacobiParams,
     evaluate_partition,
     fock_moment,
+    meixner,
+    meixner_convolve,
     moment,
     moment_sequence,
     nc_sum,
@@ -158,6 +160,35 @@ def test_partition_sum_matches_independent_routes(kind, d, head, n, seed):
     colorings = product((BLUE, RED), repeat=len(short) - 1)
     expected = sum(joint_moment(model, colored_word(alg, short, cs)) for cs in colorings)
     assert_close(free_convolve_word(model, short), expected)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    kind=st.sampled_from(["full", "diagonal"]),
+    d=st.integers(min_value=1, max_value=3),
+    head=st.integers(min_value=0, max_value=2),
+    n=st.integers(min_value=9, max_value=11),
+    m=st.integers(min_value=8, max_value=9),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_partition_sum_matches_fock_past_the_enumeration_oracle(kind, d, head, n, m, seed):
+    # degrees the enumeration oracle (n <= 7) does not reach; the Fock space does
+    rng = np.random.default_rng(seed)
+    alg = Algebra(kind, d)
+    params = rand_params(rng, alg, head)
+    coeffs = [rand_element(rng, alg) for _ in range(n + 1)]
+    assert_close(moment(params, coeffs), fock_moment(params, coeffs))
+
+    # the two-color path at degree m: a Meixner pair convolves to the Meixner law
+    # of the summed eta maps, read off the Fock space
+    def kraus():
+        return LinMap.from_kraus(alg, [rand_element(rng, alg) for _ in range(2)])
+
+    lam, alpha = rand_element(rng, alg), kraus()
+    lam = lam + lam.conj().T
+    p1, p2 = meixner(alg, lam, alpha, kraus()), meixner(alg, lam, alpha, kraus())
+    word = [rand_element(rng, alg) for _ in range(m + 1)]
+    assert_close(free_convolve_word(JointModel(p1, p2), word), fock_moment(meixner_convolve(p1, p2), word))
 
 
 # -- the per-block formula, the reference for the table-driven evaluator --------------

@@ -231,7 +231,8 @@ def test_count_family_matches_object_route():
                 for (cs, pairing, within), count in tally.items()
                 if cs == colors and (pairing or not pairs_only) and (within or not bounded)
             )
-            assert count_family(family, n, *K_L) == want, (family, n)
+            bounds = K_L[: len(colors)] if bounded else ()  # the bounds the family uses, one per color
+            assert count_family(family, n, *bounds) == want, (family, n)
 
 
 def outcome(count):
@@ -271,6 +272,15 @@ def test_counting_walk_matches_the_generator(family, monkeypatch):
 )
 def test_count_family_names_missing_bound(family, bounds, missing):
     with pytest.raises(ValueError, match=f"needs the depth bound {missing}$"):
+        count_family(family, 4, *bounds)
+
+
+@pytest.mark.parametrize(
+    "family, bounds, unused",
+    [("NC12", (0, 0), "k and l"), ("TCNC12", (0,), "k"), ("NC12^k", (2, -5), "l")],
+)
+def test_count_family_rejects_unused_bound(family, bounds, unused):
+    with pytest.raises(ValueError, match=f"takes no depth bound {unused}$"):
         count_family(family, 4, *bounds)
 
 
