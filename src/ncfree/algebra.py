@@ -199,13 +199,16 @@ def flip_map(d: int = 2) -> LinMap:
 
 
 def json_loader(load: Callable) -> Callable:
-    """Decorate a JSON loader: a value of the wrong JSON type (a list for an object, say) is a ValueError."""
+    """Decorate a JSON loader: a value of the wrong JSON type (a list for an object, say) or an object
+    without a field the loader reads is a ValueError, the latter naming the field."""
     @functools.wraps(load)
     def checked(*args):
         try:
             return load(*args)
         except TypeError as exc:
             raise ValueError(f"JSON value of the wrong type: {exc}") from None
+        except KeyError as exc:
+            raise ValueError(f"JSON object lacks the field {exc}") from None
     return checked
 
 

@@ -210,7 +210,8 @@ def nc_sum(
     def inside(i: int, j: int, e: Optional[str], r: int) -> np.ndarray:
         """X_i b_i ... X_j b_j summed over the partitions of i..j nested in a pair of color e at depth r:
         split on the block of position i, a singleton or a pair (i, q), of a color c that resets the depth.
-        A block that ends at j adds its own factor, not its product with the empty rest (the unit)."""
+        A block that ends at j adds its own factor, not its product with the empty rest (the unit),
+        and an adjacent pair (i, i + 1) closes over b_i itself, not b_i times the empty interior."""
         if i > j:
             return one
         total = zero
@@ -221,7 +222,7 @@ def nc_sum(
                 total = total + (lam if i == j else lam @ inside(i + 1, j, e, r))
             for q in range(i + 1, j + 1, 2 if pairs_only else 1):  # pairs only: even gaps inside
                 if c in colors[q - 1]:
-                    x = coeffs[i] @ inside(i + 1, q - 1, c, k)
+                    x = coeffs[i] if q == i + 1 else coeffs[i] @ inside(i + 1, q - 1, c, k)
                     x = (alpha_b[c][k - 1][q] @ flat(x)).reshape(x.shape)
                     total = total + (x if q == j else x @ inside(q + 1, j, e, r))
         return total

@@ -347,6 +347,21 @@ def test_json_of_the_wrong_type_is_usage_error(tmp_path, capsys, case):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_joint_model_file_as_params_names_the_missing_field(tmp_path, capsys):
+    sc = params_to_json(semicircular(ALG1, LinMap.from_dense(ALG1, ONE1)))
+    mf = write_json(tmp_path, "model.json", {"params1": sc, "params2": sc})
+    assert main(["moments", "--params", mf, "--word", unit_word_file(tmp_path, 2)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: JSON object lacks the field 'algebra'\n"
+
+
+def test_word_file_without_coeffs_names_the_missing_field(tmp_path, capsys):
+    wf = write_json(tmp_path, "w.json", {"algebra": algebra_to_json(ALG1)})
+    assert main(["moments", "--params", semicircular_file(tmp_path), "--word", wf]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: JSON object lacks the field 'coeffs'\n"
+
+
 # -- verify -----------------------------------------------------------------------
 
 

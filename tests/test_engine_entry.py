@@ -282,6 +282,28 @@ def test_pairs_only_sum_matches_per_block_formula(kind):
     assert_negligible(nc_sum(coeffs, colors, params), want)
 
 
+@pytest.mark.parametrize("batch", [False, True])
+@pytest.mark.parametrize("colors", [[(BLUE,)], [(BLUE,), (RED,), (BLUE, RED)]], ids=["one color", "two colors"])
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_pairs_only_sum_at_odd_degree_is_exactly_zero(n, colors, batch, monkeypatch):
+    # no pairing covers an odd number of positions: nc_sum returns zeros before tabulating anything
+    rng = np.random.default_rng(n)
+    alg = Algebra("full", 2)
+    params = {}
+    for c, head in ((BLUE, 2), (RED, 1)):
+        p = rand_params(rng, alg, head)
+        params[c] = JacobiParams(alg, (alg.zero(),) * head, p.head_alpha, alg.zero(), p.tail_alpha)
+    coeffs = [np.array([rand_element(rng, alg) for _ in range(3)]) if batch else rand_element(rng, alg)
+              for _ in range(n + 1)]
+    word_colors = [colors[i % len(colors)] for i in range(n)]
+    want = sum(reference_term(coeffs, blocks, params) for blocks in _colored_nc12(n, word_colors))
+    monkeypatch.setattr(jacobi, "_tables", lambda *args: pytest.fail("tabulated an odd pairs-only sum"))
+    got = nc_sum(coeffs, word_colors, params)
+    assert got.shape == want.shape == ((3, 2, 2) if batch else (2, 2))
+    assert got.dtype == complex
+    assert not np.any(got) and not np.any(want)
+
+
 def test_evaluate_partition_rejects_coefficient_of_wrong_shape():
     pairing = next(p for p in enumerate_tcnc(2) if p.base.blocks == ((1, 2),))
     with pytest.raises(ValueError, match="algebra"):
