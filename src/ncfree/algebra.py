@@ -106,11 +106,11 @@ class LinMap:
     @classmethod
     def from_kraus(cls, algebra: Algebra, mats: Sequence[np.ndarray]) -> "LinMap":
         d = algebra.dim
+        mats = [np.asarray(k, dtype=complex) for k in mats]
+        if any(a.shape != (d, d) for a in mats):  # before the (d^2, d^2) dense form is allocated
+            raise ValueError("Kraus operators must be d x d")
         dense = np.zeros((d * d, d * d), dtype=complex)
-        for a in (np.asarray(k, dtype=complex) for k in mats):
-            if a.shape != (d, d):
-                raise ValueError("Kraus operators must be d x d")
-            # vec(A b A*) = (conj(A) o A) vec(b) in column-major convention
+        for a in mats:  # vec(A b A*) = (conj(A) o A) vec(b) in column-major convention
             dense += np.kron(a.conj(), a)
         return cls(algebra, dense)
 

@@ -149,6 +149,8 @@ def evaluate_partition(
     """The term of `p` in the partition sum: each block draws its parameters from
     `params[color]` at its reset depth (the absolute depth for one color), looked up
     in the `_tables`; a singleton inserts lambda_k and a pair applies alpha_k across it."""
+    if p.base.n != len(coeffs) - 1:
+        raise ValueError(f"a partition of {p.base.n} positions on a word of degree {len(coeffs) - 1}")
     coeffs = _checked_coeffs(next(iter(params.values())).algebra, coeffs)
     lam_b, alpha_b, flat = _tables(coeffs, params)
     out, opened = coeffs[0], []  # opened: (product before the pair, its alpha_b, its closer), innermost last

@@ -84,6 +84,8 @@ def colored_word(algebra: Algebra, coeffs: Sequence[np.ndarray], colors: Sequenc
 def e_pi(model: JointModel, w: ColoredWord, p: ColoredPartition) -> np.ndarray:
     """E_pi: blue blocks draw from the blue parameters, red from the red;
     the parameter index of each block is its reset (relative) depth."""
+    if p.base.n != w.degree:
+        raise ValueError(f"a partition of {p.base.n} positions on a word of degree {w.degree}")
     for blk, c in zip(p.base.blocks, p.color):
         for i in blk:
             if w.colors[i - 1] != c:
@@ -294,20 +296,10 @@ def two_by_two_model_check(lam: float, gam: float, terms: int = 40) -> dict:
     f_conv_closed = f_conv(lam, gam)
     g_conv_closed = np.linalg.inv(f_conv_closed)
 
-    # Subordination cross-check: F_inv of F_mu solves w - 1/w_swap = target;
-    # additivity of F^{-1} - id gives F^{-1}_{conv}(b) = 2 F^{-1}_mu(b) - b.
-    def f_mu_inverse(target_diag):
-        u, v = np.diag(target_diag)
-        x, y = u, v
-        for _ in range(200):
-            x_new, y_new = u + 1 / y, v + 1 / x
-            step = abs(x_new - x) + abs(y_new - y)
-            x, y = x_new, y_new
-            if step <= np.finfo(float).eps * (abs(x) + abs(y)):
-                break
-        return np.diag([x, y]).astype(complex)
-
-    f_inv_mu = f_mu_inverse(big)
+    # Subordination cross-check: F_mu(w) = diag(x - 1/y, y - 1/x) for w = diag(x, y), so F_mu^{-1}(b) is
+    # b s with s^2 - s = 1/(lam gam), the root that tends to b; real since |lam gam| > 4.
+    # Additivity of F^{-1} - id gives F^{-1}_{conv}(b) = 2 F^{-1}_mu(b) - b.
+    f_inv_mu = big * (1 + np.sqrt(1 + 4 / prod_lg)) / 2
     f_inv_conv = 2 * f_inv_mu - big
     # evaluate the closed-form F_{mu boxplus mu} at that point: should return b
     f_at_inv = f_conv(*np.diag(f_inv_conv))
@@ -345,6 +337,8 @@ def colored_word_to_json(w: ColoredWord) -> dict:
 @json_loader
 def colored_word_from_json(obj) -> ColoredWord:
     alg = algebra_from_json(obj["algebra"])
+    if not isinstance(obj["colors"], list):  # a string or an object would be read key by key
+        raise ValueError(f"colors must be a JSON list, got {obj['colors']!r}")
     key = {1: BLUE, 2: RED, BLUE: BLUE, RED: RED}
     # true and 2.0 hash like 1 and 2, so the type is checked before the lookup
     bad = [c for c in obj["colors"] if type(c) not in (int, str) or c not in key]

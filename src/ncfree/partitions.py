@@ -82,7 +82,7 @@ class ColoredPartition:
 
 
 def _nonempty(n: int, pairs_only: bool, k: float, l: float) -> bool:
-    """Check the arguments of both walks over the colored NC_{1,2}(n) tree, the
+    """Check the arguments of the colored NC_{1,2}(n) generator and counter, the
     degree cap first, so every enumeration refuses more positions than the cap
     before it starts; False when the family is empty (pairings of an odd n)."""
     check_degree(n)
@@ -134,33 +134,30 @@ def _colored_nc12(
 def _count_colored_nc12(
     n: int, colors: Sequence[Sequence[str]], pairs_only: bool = False, k: float = math.inf, l: float = math.inf
 ) -> int:
-    """The number of partitions _colored_nc12 yields, by the same walk over the
-    same tree: a leaf counts 1 and a node the sum of its children, so every
-    partition is still reached, but none is built or yielded."""
+    """The number of partitions _colored_nc12 yields, by first-return recursion
+    (Flajolet, Discrete Math. 32, 1980) as jacobi.nc_sum sums them: no
+    partition is reached, and the generator stays the oracle it is checked against."""
     if not _nonempty(n, pairs_only, k, l):
         return 0
     bound = {BLUE: k, RED: l}
 
-    def walk(i: int, cover: tuple) -> int:
-        # cover as in _colored_nc12
-        while i == cover[0]:
-            if cover[3] is None:
-                return 1
-            i, cover = i + 1, cover[3]
-        closer, cover_c, cover_d, _ = cover
-        allowed = colors[i - 1]
+    def inside(i: int, j: int, e: Optional[str], r: int) -> int:
+        """The partitions of i..j nested in a pair of color e at depth r, split on
+        the block of position i: a singleton, or a pair (i, q) of a color c that resets the depth."""
+        if i > j:
+            return 1
         total = 0
-        if not pairs_only:
-            for c in allowed:
-                total += walk(i + 1, cover)
-        for q in range(i + 1, closer, 2 if pairs_only else 1):
-            for c in allowed:
-                d = cover_d + 1 if c == cover_c else 1
-                if d < bound[c] and c in colors[q - 1]:
-                    total += walk(i + 1, (q, c, d, cover))
+        for c in colors[i - 1]:
+            d = r + 1 if c == e else 1
+            if not pairs_only:
+                total += inside(i + 1, j, e, r)
+            if d < bound[c]:
+                for q in range(i + 1, j + 1, 2 if pairs_only else 1):  # pairs only: even gaps inside
+                    if c in colors[q - 1]:
+                        total += inside(i + 1, q - 1, c, d) * inside(q + 1, j, e, r)
         return total
 
-    return walk(1, (n + 1, None, 0, None))
+    return inside(1, n, None, 0)
 
 
 def enumerate_nc12(n: int, pairs_only: bool = False, k: float = math.inf) -> Iterator[Partition12]:
@@ -197,8 +194,8 @@ def enumerate_tcnc(
 
 
 def count_family(family: str, n: int, k: Optional[int] = None, l: Optional[int] = None) -> int:
-    """Exact size of a partition family, by enumeration: _count_colored_nc12
-    walks every member, counting it without building it."""
+    """Exact size of a partition family, by first-return recursion
+    (_count_colored_nc12), without building any member."""
     one, two, inf = [(BLUE,)] * n, [(BLUE, RED)] * n, math.inf
     families = {  # family: (colors at each position, pairs only, k, l)
         "NC12": (one, False, inf, inf), "NC2": (one, True, inf, inf),

@@ -199,6 +199,18 @@ def test_linmap_json_loads_the_kraus_form_and_writes_dense():
     assert list(linmap_to_json(phi)) == ["dense"]
 
 
+def test_linmap_json_checks_kraus_shapes_before_allocating(monkeypatch):
+    # at dim 3000 the (d^2, d^2) dense form would take over 1 PiB: a 1 x 1 operator is refused first
+    def refuse(*_, **__):
+        raise AssertionError("allocated the dense form")
+
+    monkeypatch.setattr(np, "zeros", refuse)
+    with pytest.raises(ValueError, match="Kraus operators must be d x d"):
+        linmap_from_json(Algebra("full", 3000), {"kraus": [[[1]]]})
+    with pytest.raises(ValueError, match="Kraus operators must be d x d"):
+        linmap_from_json(Algebra("full", 2), {"kraus": [[[1, 0], [0, 1]], [[1]]]})
+
+
 @pytest.mark.parametrize("kind", ["full", "diagonal"])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_basis_is_the_stack_of_matrix_units(kind, d):

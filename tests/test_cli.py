@@ -153,7 +153,7 @@ def test_moments_with_oracle_on_kraus_form_params(tmp_path, capsys):
     assert out["degree"] == 4 and out["max_deviation"] < 1e-9
 
 
-def refuse(*_):
+def refuse(*_, **__):
     raise AssertionError("a function ran that this request must not run")
 
 
@@ -345,6 +345,28 @@ def wrong_type_probe(tmp_path, case):
 def test_json_of_the_wrong_type_is_usage_error(tmp_path, capsys, case):
     assert main(wrong_type_probe(tmp_path, case)) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("colors", ["b", {"b": 1}])
+def test_joint_word_colors_not_a_list_is_usage_error(tmp_path, capsys, colors):
+    sc = params_to_json(semicircular(ALG1, LinMap.from_dense(ALG1, ONE1)))
+    mf = write_json(tmp_path, "model.json", {"params1": sc, "params2": sc})
+    w = colored_word_to_json(colored_word(ALG1, [ONE1] * 2, [BLUE]))
+    wf = write_json(tmp_path, "cw.json", {**w, "colors": colors})
+    assert main(["joint", "--model", mf, "--word", wf]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: colors must be a JSON list")
+
+
+def test_kraus_operator_of_the_wrong_size_is_refused_before_allocating(tmp_path, capsys, monkeypatch):
+    # at dim 3000 the dense form of a Kraus map would take (3000^2)^2 complex entries, over 1 PiB
+    params = {"algebra": {"kind": "full", "dim": 3000}, "head_lambda": [{"entries": [[1]]}],
+              "head_alpha": [{"kraus": [[[1]]]}], "tail_lambda": {"entries": [[1]]}, "tail_alpha": {"kraus": [[[1]]]}}
+    pf, wf = write_json(tmp_path, "big.json", params), unit_word_file(tmp_path, 2)
+    monkeypatch.setattr(np, "zeros", refuse)
+    assert main(["moments", "--params", pf, "--word", wf]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: Kraus operators must be d x d\n"
 
 
 def test_joint_model_file_as_params_names_the_missing_field(tmp_path, capsys):

@@ -310,6 +310,13 @@ def test_evaluate_partition_rejects_coefficient_of_wrong_shape():
         evaluate_partition([np.eye(2), np.eye(3), np.eye(2)], pairing, {BLUE: SEMID, RED: SEMID})
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_evaluate_partition_rejects_partition_of_other_size(n):
+    pairing = next(enumerate_tcnc(n, True))
+    with pytest.raises(ValueError, match=f"partition of {n} positions on a word of degree 3"):
+        evaluate_partition([np.eye(2)] * 4, pairing, {BLUE: SEMID, RED: SEMID})
+
+
 # -- a batch axis: a grid of equal-length words in one engine call ------------------
 
 

@@ -150,6 +150,21 @@ def test_e_pi_rejects_color_mismatch():
         e_pi(model, w, bad)
 
 
+@pytest.mark.parametrize(
+    "partition",
+    [ColoredPartition(Partition12(2, ((1, 2),)), (BLUE,)),
+     ColoredPartition(Partition12(4, ((1, 2), (3, 4))), (BLUE, RED))],
+    ids=["shorter", "longer"],
+)
+def test_e_pi_rejects_partition_of_other_size(partition):
+    # on b0 X b1 X b2 Y b3: a partition of {1, 2} would drop Y b3, one of {1..4} would read past the word
+    bern = two_point(ALG1, 0.5, ONE1, -ONE1)
+    model = JointModel(bern, bern)
+    w = unit_word(model, [BLUE, BLUE, RED])
+    with pytest.raises(ValueError, match=f"partition of {partition.base.n} positions on a word of degree 3"):
+        e_pi(model, w, partition)
+
+
 # -- two routes agree ----------------------------------------------------------
 
 
@@ -460,6 +475,20 @@ def test_two_by_two_closed_forms():
     assert rep["g_mu_diff"] < 1e-8
     assert rep["g_conv_diff"] < 1e-8
     assert rep["subordination_residual"] < 1e-10
+
+
+@pytest.mark.parametrize(
+    "lam, gam",
+    [(3.0, 3.0), (3.0, 2.7), (4.0, 2.0), (5.0, 2.0), (-3.0, -3.0), (2.5, 4.0), (4.0, 4.0), (10.0, 0.9),
+     (-5.0, -2.0), (7.0, 3.0), (-2.5, 4.0), (5.0, -1.0), (4.5, 1.0),
+     (2.01, 2.0), (2.01, -2.0), (-2.01, 2.0), (-2.01, -2.0)],
+)
+def test_two_by_two_f_mu_inverse_maps_back_to_b(lam, gam):
+    # F_mu(diag(x, y)) = diag(x - 1/y, y - 1/x), also where |lam gam| is just past 4
+    rep = two_by_two_model_check(lam, gam)
+    x, y = np.diag(rep["f_mu_inverse"])
+    assert np.allclose([x - 1 / y, y - 1 / x], [lam, gam], rtol=1e-12, atol=0)
+    assert rep["subordination_residual"] <= 1e-12 * max(abs(lam), abs(gam))
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ from ncfree.partitions import (
     DegreeCapError,
     Partition12,
     _colored_nc12,
+    _count_colored_nc12,
     count_family,
     enumerate_nc12,
     enumerate_tcnc,
@@ -255,6 +256,12 @@ def test_counting_walk_matches_the_generator(family, monkeypatch):
 
     for n, bounds in product(range(11), product(range(1, 5), repeat=width)):
         assert isinstance(both(n, bounds), int)
+    # per-position color sets that no family uses: blue only, red only, or both in either order
+    mixed = [(BLUE,), (RED,), (BLUE, RED), (RED, BLUE)]
+    for n, bounds, step in product(range(9), product(range(1, 5), repeat=width), range(1, 4)):
+        sets = [mixed[(step * i + step - 1) % 4] for i in range(n)]
+        counted = _count_colored_nc12(n, sets, pairs_only, *bounds)
+        assert counted == sum(1 for _ in _colored_nc12(n, sets, pairs_only, *bounds)), (family, sets, bounds)
     # bad arguments raise what the generator raises: the degree cap first, then n, then the bounds
     monkeypatch.setenv("NCFREE_DEGREE_CAP", "6")
     for n, bounds in product((-2, 4, 7, 40), product((0, 2), repeat=width)):
