@@ -258,7 +258,10 @@ def linmap_to_json(m: LinMap) -> dict:
 @json_loader
 def linmap_from_json(algebra: Algebra, obj) -> LinMap:
     if "kraus" in obj:
-        return LinMap.from_kraus(algebra, [matrix_from_json(a) for a in obj["kraus"]])
+        kraus = [matrix_from_json(a) for a in obj["kraus"]]
+        if not kraus:  # it would pass the shape check and still allocate the (d^2, d^2) zero map
+            raise ValueError("a Kraus family needs at least one operator")
+        return LinMap.from_kraus(algebra, kraus)
     if "dense" in obj:
         return LinMap.from_dense(algebra, matrix_from_json(obj["dense"]))
     raise ValueError("linear map JSON needs 'kraus' or 'dense'")

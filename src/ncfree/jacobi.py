@@ -32,8 +32,7 @@ from .algebra import (
     unvec,
     vec,
 )
-# the degree guard lives beside the enumeration it bounds; it is re-exported here
-from .partitions import BLUE, DEFAULT_DEGREE_CAP, ColoredPartition, DegreeCapError, check_degree, relative_depths
+from .partitions import BLUE, ColoredPartition, DegreeCapError, check_degree, relative_depths
 from .scalar import free_binomial_closed as free_binomial_moment
 
 @dataclass(frozen=True)
@@ -367,10 +366,8 @@ def boolean_power(params: JacobiParams, eta: LinMap) -> JacobiParams:
     """Boolean convolution power: (lambda_1, alpha_1) -> (eta[lambda_1], eta o alpha_1)."""
     if eta.algebra != params.algebra:
         raise ValueError("algebra mismatch")
-    lam1 = eta(params.lam(1))
-    a1 = eta.compose(params.alpha(1))
-    head_l = (lam1,) + tuple(params.lam(i) for i in range(2, max(2, len(params.head_lambda) + 1)))
-    head_a = (a1,) + tuple(params.alpha(i) for i in range(2, max(2, len(params.head_alpha) + 1)))
+    head_l = (eta(params.lam(1)),) + params.head_lambda[1:]
+    head_a = (eta.compose(params.alpha(1)),) + params.head_alpha[1:]
     return replace(params, head_lambda=head_l, head_alpha=head_a, positive=False)
 
 

@@ -9,28 +9,22 @@ python integers.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 BLUE = "b"
 RED = "r"
-DEFAULT_DEGREE_CAP = 16
+DEGREE_CAP = 16
 
 
 class DegreeCapError(ValueError):
-    """Raised when a requested moment degree exceeds the configured cap."""
+    """Raised when a requested moment degree exceeds DEGREE_CAP."""
 
 
 def check_degree(n: int) -> None:
-    """Raise DegreeCapError if degree n exceeds NCFREE_DEGREE_CAP (default 16)."""
-    raw = os.environ.get("NCFREE_DEGREE_CAP", DEFAULT_DEGREE_CAP)
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"NCFREE_DEGREE_CAP must be an integer, got {raw!r}") from None
-    if n > cap:
-        raise DegreeCapError(f"degree {n} exceeds cap {cap}")
+    """Raise DegreeCapError if degree n exceeds DEGREE_CAP."""
+    if n > DEGREE_CAP:
+        raise DegreeCapError(f"degree {n} exceeds cap {DEGREE_CAP}")
 
 
 @dataclass(frozen=True)

@@ -87,9 +87,12 @@ def nu_k(k: int) -> AtomicMeasure:
 
 def nu_moments(k: int, degree: int) -> list[int]:
     """Exact integer moments of nu_k through `degree`: the top-left entries of X_k^n,
-    n = 0..degree, for the k x k tridiagonal 0/1 matrix X_k, read off one walk."""
+    n = 0..degree, for the k x k tridiagonal 0/1 matrix X_k, read off one walk.
+    A closed walk of `degree` steps from the top never gets below level degree // 2, so the walk
+    keeps levels 0..degree // 2 only."""
     if k < 1 or degree < 0:
         raise ValueError("k >= 1 and degree >= 0 required")
+    k = min(k, degree // 2 + 1)
     col = [1] + [0] * (k - 1)  # first column of X_k^n
     out = [1]
     for _ in range(degree):

@@ -209,6 +209,8 @@ def test_linmap_json_checks_kraus_shapes_before_allocating(monkeypatch):
         linmap_from_json(Algebra("full", 3000), {"kraus": [[[1]]]})
     with pytest.raises(ValueError, match="Kraus operators must be d x d"):
         linmap_from_json(Algebra("full", 2), {"kraus": [[[1, 0], [0, 1]], [[1]]]})
+    with pytest.raises(ValueError, match="a Kraus family needs at least one operator"):
+        linmap_from_json(Algebra("full", 3000), {"kraus": []})
 
 
 @pytest.mark.parametrize("kind", ["full", "diagonal"])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ncfree.algebra import Algebra, LinMap, algebra_to_json, element_to_json, matrix_to_json
-from ncfree import cli
+from ncfree import cli, partitions
 from ncfree.cli import main
 from ncfree.jacobi import (
     params_to_json,
@@ -243,27 +243,19 @@ def test_convolve_semicirculars(tmp_path, capsys):
 
 
 def test_moments_degree_cap_exit(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("NCFREE_DEGREE_CAP", "3")
+    monkeypatch.setattr(partitions, "DEGREE_CAP", 3)
     pf = semicircular_file(tmp_path)
     wf = unit_word_file(tmp_path, 5)
     assert main(["moments", "--params", pf, "--word", wf]) == 3
 
 
 def test_count_by_enumeration_degree_cap_exit(capsys, monkeypatch):
-    monkeypatch.setenv("NCFREE_DEGREE_CAP", "4")
+    monkeypatch.setattr(partitions, "DEGREE_CAP", 4)
     assert main(["count", "--family", "TCNC2", "--method", "enumerate", "--n", "4", "--k", "2", "--l", "2"]) == 0
     capsys.readouterr()
     assert main(["count", "--family", "TCNC2", "--method", "enumerate", "--n", "5", "--k", "2", "--l", "2"]) == 3
     assert main(["count", "--family", "NC12", "--n", "5"]) == 3
     assert capsys.readouterr().out == ""
-
-
-def test_non_integer_degree_cap_is_usage_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("NCFREE_DEGREE_CAP", "abc")
-    pf = semicircular_file(tmp_path)
-    wf = unit_word_file(tmp_path, 2)
-    assert main(["moments", "--params", pf, "--word", wf]) == 2
-    assert "NCFREE_DEGREE_CAP" in capsys.readouterr().err
 
 
 def test_bad_json_is_usage_error(tmp_path, capsys):
@@ -367,6 +359,16 @@ def test_kraus_operator_of_the_wrong_size_is_refused_before_allocating(tmp_path,
     assert main(["moments", "--params", pf, "--word", wf]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "error: Kraus operators must be d x d\n"
+
+
+def test_empty_kraus_family_is_refused_before_allocating(tmp_path, capsys, monkeypatch):
+    params = {"algebra": {"kind": "full", "dim": 3000}, "head_lambda": [], "head_alpha": [],
+              "tail_lambda": {"entries": [[1]]}, "tail_alpha": {"kraus": []}}
+    pf, wf = write_json(tmp_path, "big.json", params), unit_word_file(tmp_path, 2)
+    monkeypatch.setattr(np, "zeros", refuse)
+    assert main(["moments", "--params", pf, "--word", wf]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: a Kraus family needs at least one operator\n"
 
 
 def test_joint_model_file_as_params_names_the_missing_field(tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncfree import jacobi
+from ncfree import jacobi, partitions
 from ncfree.algebra import Algebra, LinMap, flip_map, negligible
 from ncfree.jacobi import (
     DegreeCapError,
@@ -76,7 +76,7 @@ ENTRIES = {
 
 @pytest.mark.parametrize("entry", sorted(ENTRIES))
 def test_every_engine_entry_honours_degree_cap(entry, monkeypatch):
-    monkeypatch.setenv("NCFREE_DEGREE_CAP", "4")
+    monkeypatch.setattr(partitions, "DEGREE_CAP", 4)
     ENTRIES[entry](4)
     with pytest.raises(DegreeCapError):
         ENTRIES[entry](6)
@@ -92,7 +92,7 @@ def test_every_engine_entry_honours_degree_cap(entry, monkeypatch):
     ],
 )
 def test_moment_tables_refuse_a_degree_before_any_engine_call(call, monkeypatch):
-    monkeypatch.setenv("NCFREE_DEGREE_CAP", "4")
+    monkeypatch.setattr(partitions, "DEGREE_CAP", 4)
     calls, engine = [], jacobi.nc_sum
     monkeypatch.setattr(jacobi, "nc_sum", lambda *args: calls.append(args) or engine(*args))
     with pytest.raises(DegreeCapError):

@@ -1,5 +1,4 @@
 import json
-import os
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncfree import partitions
 from ncfree.algebra import (Algebra, LinMap, algebra_from_json, flip_map, linmap_from_json, matrix_to_json,
                             negligible, unit_matrix)
 from ncfree.jacobi import (
@@ -610,19 +610,12 @@ def test_exponential_bound():
 
 def test_degree_cap_env(monkeypatch):
     p = scalar_jacobi(tail_alpha=1.0)
-    monkeypatch.setenv("NCFREE_DEGREE_CAP", "3")
+    with pytest.raises(DegreeCapError, match="degree 17 exceeds cap 16"):
+        moment(p, [ONE1] * 18)
+    monkeypatch.setattr(partitions, "DEGREE_CAP", 3)
     with pytest.raises(DegreeCapError):
         moment(p, [ONE1] * 5)
     assert np.isclose(moment(p, [ONE1] * 4)[0, 0].real, 0.0)
-    monkeypatch.delenv("NCFREE_DEGREE_CAP")
-    with pytest.raises(DegreeCapError):
-        moment(p, [ONE1] * 18)
-
-
-def test_degree_cap_env_must_be_integer(monkeypatch):
-    monkeypatch.setenv("NCFREE_DEGREE_CAP", "3.5")
-    with pytest.raises(ValueError, match="NCFREE_DEGREE_CAP"):
-        moment(scalar_jacobi(tail_alpha=1.0), [ONE1] * 3)
 
 
 ALGD = Algebra("diagonal", 2)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncfree import partitions
 from ncfree.partitions import (
     BLUE,
     RED,
@@ -263,7 +264,7 @@ def test_counting_walk_matches_the_generator(family, monkeypatch):
         counted = _count_colored_nc12(n, sets, pairs_only, *bounds)
         assert counted == sum(1 for _ in _colored_nc12(n, sets, pairs_only, *bounds)), (family, sets, bounds)
     # bad arguments raise what the generator raises: the degree cap first, then n, then the bounds
-    monkeypatch.setenv("NCFREE_DEGREE_CAP", "6")
+    monkeypatch.setattr(partitions, "DEGREE_CAP", 6)
     for n, bounds in product((-2, 4, 7, 40), product((0, 2), repeat=width)):
         both(n, bounds)
     assert both(7, (0,) * width)[0] is DegreeCapError
@@ -297,7 +298,7 @@ def test_count_family_rejects_unused_bound(family, bounds, unused):
     ids=["count_family", "enumerate_nc12", "enumerate_tcnc"],
 )
 def test_enumerations_honour_the_degree_cap(enumerate_at, monkeypatch):
-    monkeypatch.setenv("NCFREE_DEGREE_CAP", "4")
+    monkeypatch.setattr(partitions, "DEGREE_CAP", 4)
     enumerate_at(4)
     with pytest.raises(DegreeCapError, match="degree 5 exceeds cap 4"):
         enumerate_at(5)

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from math import comb, prod
@@ -76,6 +77,17 @@ def test_nu_k_four_ways():
             assert chebyshev_ratio_moments(k, 12)[n] == trid
             assert count_family("NC2^k", n, k=k) == trid
         assert nu_moments(k, 10) == [tridiagonal_moment(k, n) for n in range(11)]
+
+
+def test_nu_moments_walk_only_the_levels_a_closed_walk_reaches():
+    # a closed walk of 12 steps stays in levels 0..6, so nu_7 and nu_100000 agree through degree 12
+    tracemalloc.start()
+    try:
+        assert nu_moments(10**5, 12) == nu_moments(7, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * 2**20  # a column of 10^5 levels alone would take 0.8 MB
 
 
 def test_tridiagonal_examples():
