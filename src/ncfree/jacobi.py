@@ -32,7 +32,7 @@ from .algebra import (
     unvec,
     vec,
 )
-from .partitions import BLUE, ColoredPartition, DegreeCapError, check_degree, relative_depths
+from .partitions import BLUE, DegreeCapError, check_degree
 from .scalar import free_binomial_closed as free_binomial_moment
 
 @dataclass(frozen=True)
@@ -138,33 +138,6 @@ def _tables(coeffs: np.ndarray, params: Mapping[str, JacobiParams]) -> tuple[dic
         for table in (lam_b[c], alpha_b[c]):
             table += table[-1:] * (n - len(levels))
     return lam_b, alpha_b, (lambda x: x.reshape(*batch, -1, 1)) if batch else np.ndarray.ravel
-
-
-def evaluate_partition(
-    coeffs: Sequence[np.ndarray],
-    p: ColoredPartition,
-    params: Mapping[str, JacobiParams],
-) -> np.ndarray:
-    """The term of `p` in the partition sum: each block draws its parameters from
-    `params[color]` at its reset depth (the absolute depth for one color), looked up
-    in the `_tables`; a singleton inserts lambda_k and a pair applies alpha_k across it."""
-    if p.base.n != len(coeffs) - 1:
-        raise ValueError(f"a partition of {p.base.n} positions on a word of degree {len(coeffs) - 1}")
-    coeffs = _checked_coeffs(next(iter(params.values())).algebra, coeffs)
-    lam_b, alpha_b, flat = _tables(coeffs, params)
-    out, opened = coeffs[0], []  # opened: (product before the pair, its alpha_b, its closer), innermost last
-    for blk, c, k in zip(p.base.blocks, p.color, relative_depths(p)):
-        while opened and opened[-1][2] < blk[0]:
-            before, a, _ = opened.pop()
-            out = before @ (a @ flat(out)).reshape(out.shape)
-        if len(blk) == 1:
-            out = out @ lam_b[c][k - 1][blk[0]]
-        else:
-            opened.append((out, alpha_b[c][k - 1][blk[1]], blk[1]))
-            out = coeffs[blk[0]]
-    for before, a, _ in reversed(opened):
-        out = before @ (a @ flat(out)).reshape(out.shape)
-    return out
 
 
 def _checked_coeffs(algebra: Algebra, coeffs: Sequence[np.ndarray]) -> np.ndarray:

@@ -23,13 +23,13 @@ from .jacobi import (  # MomentTable and params_moment_table live in jacobi and 
     DegreeCapError,
     JacobiParams,
     MomentTable,
+    _checked_coeffs,
     check_degree,
-    evaluate_partition,
     moment,
     nc_sum,
     params_moment_table,
 )
-from .partitions import BLUE, RED, ColoredPartition
+from .partitions import BLUE, RED, ColoredPartition, relative_depths
 
 
 @dataclass(frozen=True)
@@ -82,15 +82,28 @@ def colored_word(algebra: Algebra, coeffs: Sequence[np.ndarray], colors: Sequenc
 
 
 def e_pi(model: JointModel, w: ColoredWord, p: ColoredPartition) -> np.ndarray:
-    """E_pi: blue blocks draw from the blue parameters, red from the red;
-    the parameter index of each block is its reset (relative) depth."""
+    """E_pi read off its definition, block by block: a block of color c at reset (relative) depth k
+    inserts lambda_k of the c parameters if it is a singleton, and applies alpha_k across it if a pair."""
     if p.base.n != w.degree:
         raise ValueError(f"a partition of {p.base.n} positions on a word of degree {w.degree}")
     for blk, c in zip(p.base.blocks, p.color):
         for i in blk:
             if w.colors[i - 1] != c:
                 raise ValueError(f"partition color at position {i} disagrees with the word")
-    return evaluate_partition(w.coeffs, p, model.by_color)
+    coeffs, params = _checked_coeffs(model.algebra, w.coeffs), model.by_color
+    out, opened = coeffs[0], []  # opened: (product before the pair, its alpha, its closer), innermost last
+    for blk, c, k in zip(p.base.blocks, p.color, relative_depths(p)):
+        while opened and opened[-1][2] < blk[0]:
+            before, alpha, q = opened.pop()
+            out = before @ alpha(out) @ coeffs[q]
+        if len(blk) == 1:
+            out = out @ params[c].lam(k) @ coeffs[blk[0]]
+        else:
+            opened.append((out, params[c].alpha(k), blk[1]))
+            out = coeffs[blk[0]]
+    for before, alpha, q in reversed(opened):
+        out = before @ alpha(out) @ coeffs[q]
+    return out
 
 
 def joint_moment(model: JointModel, w: ColoredWord) -> np.ndarray:

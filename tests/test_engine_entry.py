@@ -13,7 +13,6 @@ from ncfree.algebra import Algebra, LinMap, flip_map, negligible
 from ncfree.jacobi import (
     DegreeCapError,
     JacobiParams,
-    evaluate_partition,
     fock_moment,
     meixner,
     meixner_convolve,
@@ -25,13 +24,14 @@ from ncfree.jacobi import (
 from ncfree.joint import (
     JointModel,
     colored_word,
+    e_pi,
     free_convolve_moments,
     free_convolve_word,
     joint_moment,
     joint_moment_free_recursion,
     params_moment_table,
 )
-from ncfree.partitions import BLUE, RED, _colored_nc12, enumerate_tcnc, relative_depths
+from ncfree.partitions import BLUE, RED, _colored_nc12, enumerate_tcnc
 
 
 def rand_element(rng, alg):
@@ -191,7 +191,7 @@ def test_partition_sum_matches_fock_past_the_enumeration_oracle(kind, d, head, n
     assert_close(free_convolve_word(JointModel(p1, p2), word), fock_moment(meixner_convolve(p1, p2), word))
 
 
-# -- the per-block formula, the reference for the table-driven evaluator --------------
+# -- the per-block formula, the reference the engine is checked against ----------------
 
 
 def reference_term(coeffs, blocks, params):
@@ -222,19 +222,19 @@ def assert_negligible(got, want):
     kind=st.sampled_from(["full", "diagonal"]),
     d=st.sampled_from([1, 2, 3]),
     heads=st.tuples(st.integers(0, 2), st.integers(0, 2)),
-    n=st.integers(min_value=0, max_value=7),
+    n=st.integers(min_value=0, max_value=6),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
-    pick=st.integers(min_value=0),
 )
-def test_evaluate_partition_matches_per_block_formula(kind, d, heads, n, seed, pick):
+def test_e_pi_sums_to_joint_moment(kind, d, heads, n, seed):
+    # the terms E_pi of a random coloring, each read off its blocks, add up to the engine's sum
     rng = np.random.default_rng(seed)
     alg = Algebra(kind, d)
-    params = {BLUE: rand_params(rng, alg, heads[0]), RED: rand_params(rng, alg, heads[1])}
-    coeffs = [rand_element(rng, alg) for _ in range(n + 1)]
-    partitions = list(enumerate_tcnc(n))
-    p = partitions[pick % len(partitions)]
-    blocks = list(zip(p.base.blocks, p.color, relative_depths(p)))
-    assert_negligible(evaluate_partition(coeffs, p, params), reference_term(coeffs, blocks, params))
+    model = JointModel(rand_params(rng, alg, heads[0]), rand_params(rng, alg, heads[1]))
+    colors = [(BLUE, RED)[i] for i in rng.integers(0, 2, size=n)]
+    w = colored_word(alg, [rand_element(rng, alg) for _ in range(n + 1)], colors)
+    terms = [e_pi(model, w, p) for p in enumerate_tcnc(n)
+             if all(colors[i - 1] == c for blk, c in zip(p.base.blocks, p.color) for i in blk)]
+    assert_negligible(sum(terms), joint_moment(model, w))
 
 
 @settings(max_examples=25, deadline=None)
@@ -302,19 +302,6 @@ def test_pairs_only_sum_at_odd_degree_is_exactly_zero(n, colors, batch, monkeypa
     assert got.shape == want.shape == ((3, 2, 2) if batch else (2, 2))
     assert got.dtype == complex
     assert not np.any(got) and not np.any(want)
-
-
-def test_evaluate_partition_rejects_coefficient_of_wrong_shape():
-    pairing = next(p for p in enumerate_tcnc(2) if p.base.blocks == ((1, 2),))
-    with pytest.raises(ValueError, match="algebra"):
-        evaluate_partition([np.eye(2), np.eye(3), np.eye(2)], pairing, {BLUE: SEMID, RED: SEMID})
-
-
-@pytest.mark.parametrize("n", [2, 4])
-def test_evaluate_partition_rejects_partition_of_other_size(n):
-    pairing = next(enumerate_tcnc(n, True))
-    with pytest.raises(ValueError, match=f"partition of {n} positions on a word of degree 3"):
-        evaluate_partition([np.eye(2)] * 4, pairing, {BLUE: SEMID, RED: SEMID})
 
 
 # -- a batch axis: a grid of equal-length words in one engine call ------------------

@@ -119,6 +119,8 @@ def test_colored_word_rejects_coefficient_outside_algebra():
     off = np.array([[0, 1], [1, 0]], dtype=complex)
     with pytest.raises(ValueError, match="algebra"):
         colored_word(algd, [np.eye(2), off], [BLUE])
+    with pytest.raises(ValueError, match="algebra"):
+        colored_word(algd, [np.eye(2), np.eye(3), np.eye(2)], [BLUE, RED])
 
 
 def test_e_pi_interval_and_nested_summands():
