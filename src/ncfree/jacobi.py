@@ -49,6 +49,8 @@ class JacobiParams:
     def __post_init__(self):
         if type(self.positive) is not bool:  # a string such as "false" would read as true
             raise ValueError(f"positive must be true or false, got {self.positive!r}")
+        object.__setattr__(self, "head_lambda", tuple(self.head_lambda))  # the transforms extend the heads as tuples
+        object.__setattr__(self, "head_alpha", tuple(self.head_alpha))
         alg = self.algebra
         for lam in (*self.head_lambda, self.tail_lambda):
             if not alg.contains(np.asarray(lam)):

@@ -313,6 +313,14 @@ def test_boolean_power_touches_only_first_pair():
         assert q.alpha(i).isclose(p.alpha(i))
 
 
+def test_params_built_from_lists_transform_like_tuples():
+    p = rand_params()
+    listed = JacobiParams(ALG2, list(p.head_lambda), list(p.head_alpha), p.tail_lambda, p.tail_alpha, p.positive)
+    eta = rand_cp()
+    for transform in (phi_transform, strip, lambda q: boolean_power(q, eta)):
+        assert transform(listed).isclose(transform(p))
+
+
 # -- paper laws as properties, over both algebra kinds --------------------------
 
 
