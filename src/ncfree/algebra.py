@@ -251,6 +251,14 @@ def element_to_json(alg: Algebra, mat: np.ndarray) -> dict:
     return {"algebra": algebra_to_json(alg), "entries": matrix_to_json(mat)}
 
 
+@json_loader
+def element_from_json(alg: Algebra, obj) -> np.ndarray:
+    """The entries of an element of `alg`; an element that names its algebra must name `alg`."""
+    if "algebra" in obj and algebra_from_json(obj["algebra"]) != alg:
+        raise ValueError(f"an element declares the algebra {obj['algebra']}, not {algebra_to_json(alg)}")
+    return matrix_from_json(obj["entries"])
+
+
 def linmap_to_json(m: LinMap) -> dict:
     return {"dense": matrix_to_json(m.dense)}
 

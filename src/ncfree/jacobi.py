@@ -22,12 +22,12 @@ from .algebra import (
     LinMap,
     algebra_from_json,
     algebra_to_json,
+    element_from_json,
     element_to_json,
     is_self_adjoint,
     json_loader,
     linmap_from_json,
     linmap_to_json,
-    matrix_from_json,
     negligible,
     unvec,
     vec,
@@ -650,9 +650,9 @@ def params_from_json(obj) -> JacobiParams:
     alg = algebra_from_json(obj["algebra"])
     return JacobiParams(
         alg,
-        tuple(matrix_from_json(e["entries"]) for e in obj["head_lambda"]),
+        tuple(element_from_json(alg, e) for e in obj["head_lambda"]),
         tuple(linmap_from_json(alg, a) for a in obj["head_alpha"]),
-        matrix_from_json(obj["tail_lambda"]["entries"]),
+        element_from_json(alg, obj["tail_lambda"]),
         linmap_from_json(alg, obj["tail_alpha"]),
         positive=obj.get("positive", False),
     )
@@ -668,5 +668,5 @@ def word_to_json(algebra: Algebra, coeffs: Sequence[np.ndarray]) -> dict:
 @json_loader
 def word_from_json(obj) -> tuple[Algebra, list[np.ndarray]]:
     alg = algebra_from_json(obj["algebra"])
-    coeffs = [matrix_from_json(e["entries"]) for e in obj["coeffs"]]
+    coeffs = [element_from_json(alg, e) for e in obj["coeffs"]]
     return alg, list(_checked_coeffs(alg, coeffs))

@@ -17,8 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import (Algebra, LinMap, algebra_from_json, algebra_to_json, element_to_json, json_loader,
-                      matrix_from_json, negligible, vec)
+from .algebra import (Algebra, LinMap, algebra_from_json, algebra_to_json, element_from_json, element_to_json,
+                      json_loader, negligible, vec)
 from .jacobi import (  # MomentTable and params_moment_table live in jacobi and are re-exported here
     DegreeCapError,
     JacobiParams,
@@ -360,6 +360,6 @@ def colored_word_from_json(obj) -> ColoredWord:
     colors = [key[c] for c in obj["colors"]]
     return colored_word(
         alg,
-        [matrix_from_json(e["entries"]) for e in obj["coeffs"]],
+        [element_from_json(alg, e) for e in obj["coeffs"]],
         colors,
     )

@@ -274,6 +274,18 @@ def test_mismatched_algebras_usage(tmp_path, capsys):
     assert main(["moments", "--params", pf, "--word", w2]) == 2
 
 
+@pytest.mark.parametrize("declared", ["params", "word"])
+def test_element_of_another_algebra_is_usage_error(tmp_path, capsys, declared):
+    alg2 = Algebra("full", 2)
+    files = {"params": params_to_json(semicircular(alg2, LinMap.identity(alg2))),
+             "word": word_to_json(alg2, [np.eye(2)] * 3)}
+    for element in (files["params"]["tail_lambda"],) if declared == "params" else files["word"]["coeffs"]:
+        element["algebra"] = {"kind": "diagonal", "dim": 7}
+    pf, wf = (write_json(tmp_path, f"{name}.json", obj) for name, obj in files.items())
+    assert main(["moments", "--params", pf, "--word", wf]) == 2
+    assert "declares the algebra" in capsys.readouterr().err
+
+
 def test_convolve_negative_degree_is_usage_error(tmp_path, capsys):
     pf = semicircular_file(tmp_path)
     assert main(["convolve", "--p1", pf, "--p2", pf, "--degree", "-1"]) == 2

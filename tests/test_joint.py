@@ -542,6 +542,15 @@ def test_colored_word_json_roundtrip():
     assert colored_word_from_json(obj).colors == w.colors
 
 
+def test_colored_word_json_rejects_element_of_another_algebra():
+    obj = colored_word_to_json(colored_word(ALG2, [np.eye(2)] * 3, [BLUE, RED]))
+    obj["coeffs"][1]["algebra"] = {"kind": "diagonal", "dim": 2}
+    with pytest.raises(ValueError, match="declares the algebra"):
+        colored_word_from_json(obj)
+    del obj["coeffs"][1]["algebra"]  # an element that names no algebra is read as one of the file's
+    assert colored_word_from_json(obj).colors == (BLUE, RED)
+
+
 @pytest.mark.parametrize("color", [True, False, 2.0, 1.0, 3, 0, "blue", None, [1]])
 def test_colored_word_json_rejects_other_colors(color):
     obj = colored_word_to_json(colored_word(ALG2, [np.eye(2)] * 3, [BLUE, RED]))
