@@ -176,7 +176,9 @@ def joint_moment_free_recursion(model: JointModel, w: ColoredWord) -> np.ndarray
                 total = total + (-1) ** (size + 1) * rec(tuple(new_coeffs), tuple(new_colors))
         return total
 
-    return rec(w.coeffs, w.colors)
+    out = rec(w.coeffs, w.colors)
+    del rec, expand  # each refers to the other through its closure: a cycle that would hold the memo until a gc pass
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import gc
 import json
 from itertools import product
 from math import comb
@@ -213,6 +214,18 @@ def test_free_recursion_keeps_nearby_words_apart():
     expected = joint_moment(model, w)
     assert np.isclose(expected[0, 0].real, 9e-26, rtol=1e-9)
     assert np.allclose(joint_moment_free_recursion(model, w), expected, rtol=1e-9, atol=0)
+
+
+def test_free_recursion_frees_its_memo_on_return():
+    model = JointModel(rand_params(ALG2), rand_params(ALG2))
+    w = colored_word(ALG2, [rand_element(ALG2) for _ in range(9)], "bbrrbbrr")
+    gc.collect()
+    gc.disable()
+    try:
+        joint_moment_free_recursion(model, w)
+        assert gc.collect() == 0  # nothing of the call is left in a reference cycle
+    finally:
+        gc.enable()
 
 
 def test_monochromatic_reduces_to_marginal():
