@@ -279,7 +279,8 @@ def test_element_of_another_algebra_is_usage_error(tmp_path, capsys, declared):
     alg2 = Algebra("full", 2)
     files = {"params": params_to_json(semicircular(alg2, LinMap.identity(alg2))),
              "word": word_to_json(alg2, [np.eye(2)] * 3)}
-    for element in (files["params"]["tail_lambda"],) if declared == "params" else files["word"]["coeffs"]:
+    elements = [files["params"]["tail_lambda"]] if declared == "params" else files["word"]["coeffs"]
+    for element in elements:
         element["algebra"] = {"kind": "diagonal", "dim": 7}
     pf, wf = (write_json(tmp_path, f"{name}.json", obj) for name, obj in files.items())
     assert main(["moments", "--params", pf, "--word", wf]) == 2
