@@ -1,109 +1,206 @@
 #!/usr/bin/env python3
-"""Random sweep comparing the partition-sum moment engine against the Fock
-oracle, and the two-color partition sum against the freeness recursion,
+"""Random sweep of the moment engines against their independent oracles,
 rotating over the full algebras d = 1, 2, 3 and the diagonal ones d = 2, 3.
+
+One table, CHECKS, names every check, its route and its reach.  A check is a
+function of (algebra, rng, case, degree) that draws its laws and word from
+the script's one builder and returns (engine value, oracle value):
+
+  fock        moment vs fock_moment
+  freeness    joint_moment vs joint_moment_free_recursion, every coloring of the word
+  meixner     free_convolve_word of a Meixner pair vs fock_moment of meixner_convolve
+  epi         joint_moment of b r b r ... vs the sum of e_pi over its colored NC_{1,2} partitions
+  colourings  free_convolve_word vs the sum of joint_moment over all 2^n colorings
+
+--degree D is the top degree of every check, and each stops at its own reach:
+freeness at ORACLE_RUN_CAP, fock where the Fock oracle meets FOCK_ENTRY_CAP
+(the degree cap, or 13 on d = 3), epi at the degree cap, meixner at 11 and
+colourings at 9.  Trial i of a check runs on the i-th algebra of the rotation.
+In the positive case the first round of the rotation runs at the top degree;
+every other trial draws its degree from 0 to the top, which keeps a sweep to
+degree 16 under a minute on two cores.  A freeness trial checks all 2^n colorings of its
+word, so that check runs a quarter of the trials.
 
 Two cases, each with its own random stream: the positive one (Kraus, so
 completely positive, alphas and self-adjoint lambdas) and the algebraic one
 (alphas from random complex dense matrices, masked to the diagonal positions
-for the diagonal kind, and lambdas that are not self-adjoint).
+for the diagonal kind, and lambdas that are not self-adjoint).  Every law
+draws its heads of lambdas and of alphas with 0-2 entries each.
 
-Prints worst-case relative deviations; exit code 1 if any exceeds 1e-9.
+A deviation is max |engine - oracle| over the largest entry of the oracle,
+taken word by word.  Prints, per check and case, the route, the top degree
+run, the worst deviation and the time; exit code 1 if any exceeds 1e-9.
 
-Usage: python3 scripts/oracle_sweep.py [--trials 200] [--seed 0] [--degree 6]  (degree at most 8)
+Usage: python3 scripts/oracle_sweep.py [--trials 200] [--seed 0] [--degree 6]
 """
 
 import argparse
 import sys
+import time
 from itertools import product
 
 import numpy as np
 
 from ncfree.algebra import Algebra, LinMap
-from ncfree.jacobi import JacobiParams, fock_moment, moment
-from ncfree.joint import ORACLE_RUN_CAP, JointModel, colored_word, joint_moment, joint_moment_free_recursion
-from ncfree.partitions import BLUE, RED
+from ncfree.jacobi import FOCK_ENTRY_CAP, JacobiParams, fock_moment, meixner, meixner_convolve, moment
+from ncfree.joint import (ORACLE_RUN_CAP, JointModel, colored_word, e_pi, free_convolve_word, joint_moment,
+                          joint_moment_free_recursion)
+from ncfree.partitions import BLUE, DEGREE_CAP, RED, ColoredPartition, Partition12, _colored_nc12
+
+TOLERANCE = 1e-9
+# full d = 1 comes last: four trials cover both kinds at d = 2 and d = 3
+ALGEBRAS = [Algebra("full", 2), Algebra("diagonal", 2), Algebra("diagonal", 3), Algebra("full", 3), Algebra("full", 1)]
 
 
-def rand_params(alg, rng, algebraic=False):
+# -- the builder -----------------------------------------------------------------
+
+
+def rand_element(alg, rng, self_adjoint=False):
     d = alg.dim
-
-    def lam():
-        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        a = a if algebraic else a + a.conj().T
-        return np.diag(np.diag(a)).astype(complex) if alg.kind == "diagonal" else a
-
-    def alpha():
-        if algebraic:
-            dense = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
-            if alg.kind == "diagonal":  # keep only the entries between positions i*d+i of a vectorization
-                diag = np.eye(d, dtype=bool).reshape(-1)
-                dense = np.where(np.outer(diag, diag), dense, 0)
-            return LinMap.from_dense(alg, dense)
-        if alg.kind == "diagonal":
-            ks = [np.diag(rng.normal(size=d)).astype(complex) for _ in range(2)]
-        else:
-            ks = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(2)]
-        return LinMap.from_kraus(alg, ks)
-
-    return JacobiParams(alg, (lam(), lam()), (alpha(),), lam(), alpha())
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    a = a + a.conj().T if self_adjoint else a
+    return np.diag(np.diag(a)) if alg.kind == "diagonal" else a
 
 
-def rand_coeffs(alg, n, rng):
+def rand_lam(alg, rng, algebraic):
+    return rand_element(alg, rng, self_adjoint=not algebraic)
+
+
+def rand_alpha(alg, rng, algebraic):
     d = alg.dim
-    out = []
-    for _ in range(n + 1):
-        c = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        out.append(np.diag(np.diag(c)).astype(complex) if alg.kind == "diagonal" else c)
-    return out
+    if algebraic:
+        dense = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+        if alg.kind == "diagonal":  # keep only the entries between positions i*d+i of a vectorization
+            diag = np.eye(d, dtype=bool).reshape(-1)
+            dense = np.where(np.outer(diag, diag), dense, 0)
+        return LinMap.from_dense(alg, dense)
+    if alg.kind == "diagonal":
+        ks = [np.diag(rng.normal(size=d)).astype(complex) for _ in range(2)]
+    else:
+        ks = [rand_element(alg, rng) for _ in range(2)]
+    return LinMap.from_kraus(alg, ks)
 
 
-def sweep(rng, trials, degree, algebraic):
-    """Worst relative deviations (Fock, freeness recursion) over `trials` and `trials // 4` random cases."""
-    algs = [Algebra("diagonal", 2), Algebra("full", 2), Algebra("full", 1), Algebra("diagonal", 3), Algebra("full", 3)]
+def rand_params(alg, rng, algebraic):
+    """A law whose heads of lambdas and of alphas hold 0-2 entries each, drawn apart."""
+    n_lam, n_alpha = rng.integers(0, 3, size=2)
+    return JacobiParams(
+        alg,
+        tuple(rand_lam(alg, rng, algebraic) for _ in range(n_lam)),
+        tuple(rand_alpha(alg, rng, algebraic) for _ in range(n_alpha)),
+        rand_lam(alg, rng, algebraic),
+        rand_alpha(alg, rng, algebraic),
+    )
 
-    worst_fock = 0.0
-    for i in range(trials):
-        alg = algs[i % len(algs)]
-        p = rand_params(alg, rng, algebraic)
-        n = int(rng.integers(0, degree + 1))
-        cs = rand_coeffs(alg, n, rng)
-        a, b = moment(p, cs), fock_moment(p, cs)
-        worst_fock = max(worst_fock, float(np.max(np.abs(a - b)) / max(np.max(np.abs(a)), 1.0)))
 
-    worst_joint = 0.0
-    for i in range(max(trials // 4, 1)):
-        alg = algs[i % len(algs)]
-        model = JointModel(rand_params(alg, rng, algebraic), rand_params(alg, rng, algebraic))
-        n = int(rng.integers(1, degree + 1))
-        cs = rand_coeffs(alg, n, rng)
-        for colors in product((BLUE, RED), repeat=n):
-            w = colored_word(alg, cs, colors)
-            a = joint_moment(model, w)
-            b = joint_moment_free_recursion(model, w)
-            worst_joint = max(worst_joint, float(np.max(np.abs(a - b)) / max(np.max(np.abs(a)), 1.0)))
+def rand_model(alg, rng, algebraic):
+    return JointModel(rand_params(alg, rng, algebraic), rand_params(alg, rng, algebraic))
 
-    return worst_fock, worst_joint
+
+def rand_word(alg, rng, n):
+    """The coefficients b_0..b_n of a degree-n word."""
+    return [rand_element(alg, rng) for _ in range(n + 1)]
+
+
+# -- the checks: each returns (engine value, oracle value) -------------------------
+
+
+def check_fock(alg, rng, algebraic, n):
+    p = rand_params(alg, rng, algebraic)
+    cs = rand_word(alg, rng, n)
+    return moment(p, cs), fock_moment(p, cs)
+
+
+def check_freeness(alg, rng, algebraic, n):
+    model = rand_model(alg, rng, algebraic)
+    cs = rand_word(alg, rng, n)
+    words = [colored_word(alg, cs, colors) for colors in product((BLUE, RED), repeat=n)]
+    return tuple(np.array([f(model, w) for w in words]) for f in (joint_moment, joint_moment_free_recursion))
+
+
+def check_meixner(alg, rng, algebraic, n):
+    lam, alpha = rand_lam(alg, rng, algebraic), rand_alpha(alg, rng, algebraic)
+    p1, p2 = (meixner(alg, lam, alpha, rand_alpha(alg, rng, algebraic)) for _ in range(2))
+    cs = rand_word(alg, rng, n)
+    return free_convolve_word(JointModel(p1, p2), cs), fock_moment(meixner_convolve(p1, p2), cs)
+
+
+def check_epi(alg, rng, algebraic, n):
+    model = rand_model(alg, rng, algebraic)
+    w = colored_word(alg, rand_word(alg, rng, n), [(BLUE, RED)[i % 2] for i in range(n)])
+    parts = (
+        ColoredPartition(Partition12(n, tuple(blk for blk, _, _ in t)), tuple(c for _, c, _ in t))
+        for t in _colored_nc12(n, [(c,) for c in w.colors])
+    )
+    return joint_moment(model, w), sum(e_pi(model, w, p) for p in parts)
+
+
+def check_colourings(alg, rng, algebraic, n):
+    model = rand_model(alg, rng, algebraic)
+    cs = rand_word(alg, rng, n)
+    every = sum(joint_moment(model, colored_word(alg, cs, colors)) for colors in product((BLUE, RED), repeat=n))
+    return free_convolve_word(model, cs), every
+
+
+def fock_reach(alg):
+    """The top degree of a word whose largest Fock component, (d^2)^(n//2 + 1) entries, fits FOCK_ENTRY_CAP."""
+    return max(n for n in range(DEGREE_CAP + 1) if alg.dim ** (2 * (n // 2 + 1)) <= FOCK_ENTRY_CAP)
+
+
+# name: (route, reach on an algebra, check, trials per word drawn)
+CHECKS = {
+    "fock": ("partition sum vs Fock oracle", fock_reach, check_fock, 1),
+    "freeness": ("two-color sum vs freeness recursion", lambda alg: ORACLE_RUN_CAP, check_freeness, 4),
+    "meixner": ("Meixner pair boxplus vs Fock oracle of its convolution", lambda alg: 11, check_meixner, 1),
+    "epi": ("joint moment of brbr... vs sum of E_pi", lambda alg: DEGREE_CAP, check_epi, 1),
+    "colourings": ("free convolution vs sum over 2^n colorings", lambda alg: 9, check_colourings, 1),
+}
+
+
+def deviation(engine, oracle):
+    """max |engine - oracle| over the largest entry of the oracle, worst over a stack of words.  Exact
+    agreement reads 0, even on an all-zero oracle (a Meixner law's first moment); NaN stays NaN."""
+    err = np.max(np.abs(engine - oracle), axis=(-2, -1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.max(np.where(err == 0, 0.0, err / np.max(np.abs(oracle), axis=(-2, -1)))))
+
+
+def sweep(name, rng, trials, degree, algebraic):
+    """Worst deviation of a check over its share of `trials` random words, and the top degree it ran."""
+    _, reach, check, share = CHECKS[name]
+    devs, top_run = [], 0
+    for i in range(max(trials // share, 1)):
+        alg = ALGEBRAS[i % len(ALGEBRAS)]
+        top = min(degree, reach(alg))
+        n = top if i < len(ALGEBRAS) and not algebraic else int(rng.integers(0, top + 1))
+        devs.append(deviation(*check(alg, rng, algebraic, n)))
+        top_run = max(top_run, n)
+    return float(np.max(devs)), top_run
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--trials", type=int, default=200)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--degree", type=int, default=6)
     args = ap.parse_args()
-    if args.degree > ORACLE_RUN_CAP:  # every coloring of the degree, the alternating one included, meets the oracle
-        ap.error(f"--degree is at most {ORACLE_RUN_CAP}, the freeness oracle's cap on color runs")
-    worst = 0.0
-    # the algebraic case draws from its own stream, so the positive case sees the same inputs for a seed
+    if args.trials < 1:
+        ap.error("--trials must be at least 1")
+    if args.degree < 0:
+        ap.error("--degree must be at least 0")
+    failed = False
     for algebraic in (False, True):
-        rng = np.random.default_rng([args.seed, 1] if algebraic else args.seed)
-        worst_fock, worst_joint = sweep(rng, args.trials, args.degree, algebraic)
         case = " (algebraic)" if algebraic else ""
-        print(f"partition sum vs Fock oracle   worst relative deviation: {worst_fock:.3e}{case}")
-        print(f"two-color sum vs freeness rec  worst relative deviation: {worst_joint:.3e}{case}")
-        worst = max(worst, worst_fock, worst_joint)
-    sys.exit(0 if worst < 1e-9 else 1)
+        for k, (name, (route, *_)) in enumerate(CHECKS.items()):
+            # one stream per case and check: a check's inputs for a seed depend on no other check
+            rng = np.random.default_rng([args.seed, int(algebraic), k])
+            start = time.perf_counter()
+            worst, top = sweep(name, rng, args.trials, args.degree, algebraic)
+            secs = time.perf_counter() - start
+            line = f"{name:<10} {route:<56} degree {top:>2}  worst deviation {worst:.3e}  {secs:6.2f} s{case}"
+            print(line, flush=True)
+            failed |= not worst <= TOLERANCE
+    sys.exit(1 if failed else 0)
 
 
 if __name__ == "__main__":

@@ -239,12 +239,13 @@ class MomentTable:
 
     def sequence(self, b: np.ndarray, degree: Optional[int] = None) -> list[np.ndarray]:
         """Coefficients mu[(X b)^n] of the moment generating series, n = 0..degree: the one loop
-        that builds every moment sequence.  A degree the table does not hold is refused before
-        anything is computed."""
+        that builds every moment sequence.  A degree the table does not hold, or a b outside the
+        algebra, is refused before anything is computed, so degree 0 refuses the b that degree 1 does."""
         degree = self.degree if degree is None else degree
         if degree < 0:
             raise ValueError(f"degree must be >= 0, got {degree}")
         self._check_held(degree)
+        _checked_coeffs(self.algebra, [b])
         one = self.algebra.unit()
         return [self([one] + [b] * n) for n in range(degree + 1)]
 

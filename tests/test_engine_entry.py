@@ -110,14 +110,21 @@ SEMID = semicircular(ALGD, flip_map())
 
 @pytest.mark.parametrize(
     "engine",
-    [moment, fock_moment, lambda p, cs: free_convolve_word(JointModel(p, p), cs)],
-    ids=["moment", "fock_moment", "free_convolve_word"],
+    [
+        moment,
+        fock_moment,
+        lambda p, cs: free_convolve_word(JointModel(p, p), cs),
+        lambda p, cs: moment_sequence(p, cs[1], 0),  # degree 0 computes nothing from b, yet refuses it
+    ],
+    ids=["moment", "fock_moment", "free_convolve_word", "moment_sequence_degree_0"],
 )
 def test_engines_reject_coefficients_outside_algebra(engine):
     with pytest.raises(ValueError, match="algebra"):
         engine(SEMID, [np.ones((2, 2))] * 3)
     with pytest.raises(ValueError, match="algebra"):
         engine(SEMID, [np.eye(2), np.ones((2, 2)), np.eye(2)])
+    with pytest.raises(ValueError, match="algebra"):
+        engine(SEMID, [np.eye(3)] * 3)
     engine(SEMID, [np.eye(2)] * 3)  # the same word inside B computes
 
 
