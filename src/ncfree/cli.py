@@ -309,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int)
     p.add_argument("--l", type=int)
-    p.add_argument("--method", default="enumerate", choices=["enumerate", "recursion", "cumulant", "all"])
+    p.add_argument("--method", default="enumerate", choices=["enumerate", "recursion", "cumulant", "all"],
+                   help="enumerate (the default) is the exact first-return count, and builds no partition")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("table", help="TSV table of |TCNC_2^{k,k}(n)|", parents=[common])

@@ -4,13 +4,14 @@ A distribution is described by two eventually-constant parameter sequences:
 self-adjoint algebra elements lambda_i and linear self-maps alpha_i
 (completely positive in the positive case, arbitrary in the algebraic one).
 Moments are computed two independent ways: a sum over non-crossing
-singleton/pair partitions with depth-indexed parameter insertion, and a
-ladder-operator evaluation on a Fock-type bimodule, which serves as the
-oracle for the first.
+singleton/pair partitions with depth-indexed parameter insertion (nc_sum, on
+the first-return recursion of partitions, which also counts the families),
+and a ladder-operator evaluation on a Fock-type bimodule, its oracle.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
@@ -32,7 +33,7 @@ from .algebra import (
     unvec,
     vec,
 )
-from .partitions import BLUE, DegreeCapError, check_degree
+from .partitions import BLUE, DegreeCapError, _first_return, check_degree
 from .scalar import free_binomial_closed as free_binomial_moment
 
 @dataclass(frozen=True)
@@ -165,8 +166,8 @@ def nc_sum(
     allowed at both ends of each block; colors[i-1] lists the colors allowed
     at position i.  The entry of every partition-sum engine: it checks the
     degree against the cap and the coefficients against the algebra, then
-    tabulates the parameters once (`_tables`) and sums by first-return
-    recursion (Flajolet, Discrete Math. 32, 1980) rather than term by term.
+    tabulates the parameters once (`_tables`) and sums by the first-return
+    recursion of `partitions._first_return` rather than term by term.
     Coefficients may carry a leading batch shape, broadcast together: a grid of
     equal-length words shares one recursion and one set of tables.
 
@@ -181,31 +182,14 @@ def nc_sum(
     if pairs_only and n % 2:  # no pairing covers an odd number of positions
         return zero
     lam_b, alpha_b, flat = _tables(coeffs, params)
+
+    def close(c: str, k: int, i: int, q: int, interior: Optional[np.ndarray]) -> np.ndarray:
+        x = coeffs[i] if interior is None else coeffs[i] @ interior  # alpha_k(b_i interior) b_q
+        return (alpha_b[c][k - 1][q] @ flat(x)).reshape(x.shape)
+
     one = np.eye(coeffs[0].shape[-1], dtype=complex)
-
-    def inside(i: int, j: int, e: Optional[str], r: int) -> np.ndarray:
-        """X_i b_i ... X_j b_j summed over the partitions of i..j nested in a pair of color e at depth r:
-        split on the block of position i, a singleton or a pair (i, q), of a color c that resets the depth.
-        A block that ends at j adds its own factor, not its product with the empty rest (the unit),
-        and an adjacent pair (i, i + 1) closes over b_i itself, not b_i times the empty interior."""
-        if i > j:
-            return one
-        total = zero
-        for c in colors[i - 1]:
-            k = r + 1 if c == e else 1  # the tables repeat the head+1 entry at every deeper level
-            if not pairs_only:
-                lam = lam_b[c][k - 1][i]
-                total = total + (lam if i == j else lam @ inside(i + 1, j, e, r))
-            for q in range(i + 1, j + 1, 2 if pairs_only else 1):  # pairs only: even gaps inside
-                if c in colors[q - 1]:
-                    x = coeffs[i] if q == i + 1 else coeffs[i] @ inside(i + 1, q - 1, c, k)
-                    x = (alpha_b[c][k - 1][q] @ flat(x)).reshape(x.shape)
-                    total = total + (x if q == j else x @ inside(q + 1, j, e, r))
-        return total
-
-    out = coeffs[0] @ inside(1, n, None, 0)
-    del inside  # it refers to itself through its closure: a cycle that would hold the tables until a gc pass
-    return out
+    bound = dict.fromkeys(params, n + 1)  # no depth reaches n + 1; the tables repeat the head+1 entry past the head
+    return coeffs[0] @ _first_return(n, colors, pairs_only, bound, lam_b, close, operator.matmul, one, zero)
 
 
 def moment(params: JacobiParams, coeffs: Sequence[np.ndarray]) -> np.ndarray:
@@ -245,8 +229,8 @@ class MomentTable:
         if degree < 0:
             raise ValueError(f"degree must be >= 0, got {degree}")
         self._check_held(degree)
-        _checked_coeffs(self.algebra, [b])
-        one = self.algebra.unit()
+        b = _checked_coeffs(self.algebra, [b])[0]
+        one = np.broadcast_to(self.algebra.unit(), b.shape)  # n = 0 too carries the batch shape of b
         return [self([one] + [b] * n) for n in range(degree + 1)]
 
 
@@ -271,7 +255,9 @@ def scalar_moments(params: JacobiParams, degree: int) -> list[complex]:
 # ---------------------------------------------------------------------------
 
 
-FOCK_ENTRY_CAP = 2**23  # complex entries of the largest Fock component, 128 MiB: full d = 3 through degree 13
+# complex entries of the largest Fock component, 128 MiB: full d = 3 through degree 13.  A call's tracemalloc peak is
+# 2.25-2.7x that component at even degrees and 4.25-4.75x at odd ones (full d = 2 and 3), up to 600 MiB at the cap
+FOCK_ENTRY_CAP = 2**23
 
 
 def fock_moment(params: JacobiParams, coeffs: Sequence[np.ndarray]) -> np.ndarray:
@@ -283,6 +269,7 @@ def fock_moment(params: JacobiParams, coeffs: Sequence[np.ndarray]) -> np.ndarra
     symbolically and the degree-0 component is read off at the end.
     A word whose largest component, (d^2)^(n//2 + 1) entries, exceeds
     FOCK_ENTRY_CAP raises DegreeCapError before anything is allocated.
+    A call's tracemalloc peak is 2.25-2.7 times that component (odd n: 4.25-4.75).
     """
     n = len(coeffs) - 1
     check_degree(n)

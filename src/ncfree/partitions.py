@@ -1,14 +1,15 @@
-"""Non-crossing partitions with singleton/pair blocks, one- and two-color,
-including the depth-restricted families used by the moment engines.
+"""Non-crossing partitions with singleton/pair blocks, one- and two-color, including
+the depth-restricted families, and the one first-return recursion (_first_return)
+that sums over them: jacobi.nc_sum's moments, and the family counts as exact ints.
 
 Partitions of {1..n} are stored canonically: blocks sorted by minimum
-element.  Colors are 'b' (blue) and 'r' (red).  All counts are exact
-python integers.
+element.  Colors are 'b' (blue) and 'r' (red).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -125,33 +126,43 @@ def _colored_nc12(
     yield from walk(1, (n + 1, None, 0, None))
 
 
+def _first_return(n, colors, pairs_only, bound, single, close, mul, one, zero):
+    """Sum over the colored NC_{1,2}(n) partitions (NC_2(n) if pairs_only) of their block factors' product, by
+    first-return recursion (Flajolet, Discrete Math. 32, 1980), for jacobi.nc_sum and _count_colored_nc12.  A block
+    takes a color c allowed at both ends (colors[i-1] at position i), a pair only below depth bound[c].  At depth k
+    a singleton {i} adds single[c][k-1][i], and a pair (i, q) close(c, k, i, q, the sum inside it or None)."""
+
+    def inside(i: int, j: int, e: Optional[str], r: int):  # i..j nested in a pair of color e at depth r
+        if i > j:
+            return one
+        total = zero
+        for c in colors[i - 1]:  # split on the block of position i
+            k = r + 1 if c == e else 1
+            if not pairs_only:  # a block that ends at j is not multiplied by the empty rest (the unit)
+                x = single[c][k - 1][i]
+                total = total + (x if i == j else mul(x, inside(i + 1, j, e, r)))
+            if k < bound[c]:
+                for q in range(i + 1, j + 1, 2 if pairs_only else 1):  # pairs only: even gaps inside
+                    if c in colors[q - 1]:  # an adjacent pair closes over None, not over the empty inside
+                        x = close(c, k, i, q, None if q == i + 1 else inside(i + 1, q - 1, c, k))
+                        total = total + (x if q == j else mul(x, inside(q + 1, j, e, r)))
+        return total
+
+    out = inside(1, n, None, 0)
+    del inside  # it refers to itself through its closure: a cycle that would hold its inputs until a gc pass
+    return out
+
+
 def _count_colored_nc12(
     n: int, colors: Sequence[Sequence[str]], pairs_only: bool = False, k: float = math.inf, l: float = math.inf
 ) -> int:
-    """The number of partitions _colored_nc12 yields, by first-return recursion
-    (Flajolet, Discrete Math. 32, 1980) as jacobi.nc_sum sums them: no
-    partition is reached, and the generator stays the oracle it is checked against."""
+    """The number of partitions _colored_nc12 yields, by the first-return recursion with every block factor 1:
+    no partition is reached, and the generator stays the oracle it is checked against."""
     if not _nonempty(n, pairs_only, k, l):
         return 0
-    bound = {BLUE: k, RED: l}
-
-    def inside(i: int, j: int, e: Optional[str], r: int) -> int:
-        """The partitions of i..j nested in a pair of color e at depth r, split on
-        the block of position i: a singleton, or a pair (i, q) of a color c that resets the depth."""
-        if i > j:
-            return 1
-        total = 0
-        for c in colors[i - 1]:
-            d = r + 1 if c == e else 1
-            if not pairs_only:
-                total += inside(i + 1, j, e, r)
-            if d < bound[c]:
-                for q in range(i + 1, j + 1, 2 if pairs_only else 1):  # pairs only: even gaps inside
-                    if c in colors[q - 1]:
-                        total += inside(i + 1, q - 1, c, d) * inside(q + 1, j, e, r)
-        return total
-
-    return inside(1, n, None, 0)
+    ones = dict.fromkeys((BLUE, RED), [[1] * (n + 1)] * n)  # a singleton counts 1 at every depth and position
+    return _first_return(n, colors, pairs_only, {BLUE: k, RED: l}, ones,
+                         lambda c, depth, i, q, inside: 1 if inside is None else inside, operator.mul, 1, 0)
 
 
 def enumerate_nc12(n: int, pairs_only: bool = False, k: float = math.inf) -> Iterator[Partition12]:

@@ -1,6 +1,7 @@
 """The partition-sum engine entry, `jacobi.nc_sum`: one degree guard, one
 membership check, and agreement with the independent routes."""
 
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -367,6 +368,19 @@ def test_batch_shapes_broadcast_together():
         assert_negligible(got[i, j], moment(p, [one, rows[i], cols[j], one]))
 
 
+def test_moment_sequence_keeps_the_batch_axis_at_degree_zero():
+    # mu[(X b)^0] is the unit, broadcast to b's batch shape like every later entry
+    rng = np.random.default_rng(11)
+    alg = Algebra("full", 2)
+    semi = semicircular(alg, LinMap.identity(alg))
+    bs = np.array([rand_element(rng, alg) for _ in range(2)])
+    seq = moment_sequence(semi, bs, 2)
+    assert [m.shape for m in seq] == [(2, 2, 2)] * 3
+    for w in range(2):
+        for got, want in zip(seq, moment_sequence(semi, bs[w], 2)):
+            assert_negligible(got[w], want)
+
+
 def test_batched_coefficients_are_checked_one_by_one():
     # a stack is judged per matrix: one off-diagonal coefficient among diagonal ones is rejected
     stack = np.array([np.diag([1e9, 1e9]), np.ones((2, 2))])
@@ -396,3 +410,21 @@ def test_fock_oracle_caps_its_memory():
     with pytest.raises(DegreeCapError, match="9\\^9 = 387420489 entries"):
         fock_moment(p, word)
     assert_negligible(fock_moment(p, word[:13]), moment(p, word[:13]))
+
+
+def test_fock_oracle_peak_memory_is_a_small_multiple_of_its_largest_component():
+    # full d = 3: the largest component holds 9^5 complex entries at degrees 8 and 9.  One call peaks below 3x
+    # that at degree 8, and below 5x at degree 9, where the top component is built on two steps in a row
+    rng = np.random.default_rng(4)
+    alg = Algebra("full", 3)
+    p = rand_params(rng, alg, 1)
+    word = [rand_element(rng, alg) for _ in range(10)]
+    for n, multiple in ((8, 3), (9, 5)):
+        fock_moment(p, word[: n + 1])  # a first call may allocate once-only caches of numpy
+        tracemalloc.start()
+        try:
+            fock_moment(p, word[: n + 1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= multiple * 9**5 * np.dtype(complex).itemsize, n
