@@ -7,6 +7,7 @@ function of (algebra, rng, case, degree) that draws its laws and word from
 the script's one builder and returns (engine value, oracle value):
 
   fock        moment vs fock_moment
+  free-fock   nc_sum vs its free-product Fock oracle _fock, on random per-position colour sets
   freeness    joint_moment vs joint_moment_free_recursion, every coloring of the word
   meixner     free_convolve_word of a Meixner pair vs fock_moment of meixner_convolve
   epi         joint_moment of b r b r ... vs the sum of e_pi over its colored NC_{1,2} partitions
@@ -14,8 +15,8 @@ the script's one builder and returns (engine value, oracle value):
 
 --degree D is the top degree of every check, and each stops at its own reach:
 freeness at ORACLE_RUN_CAP, fock where the Fock oracle meets FOCK_ENTRY_CAP
-(the degree cap, or 13 on d = 3), epi at the degree cap, meixner at 11 and
-colourings at 9.  Trial i of a check runs on the i-th algebra of the rotation.
+(the degree cap, or 13 on d = 3), free-fock where two colours meet it, or at 11
+(9 on d = 3), epi at the degree cap, meixner at 11 and colourings at 9.  Trial i of a check runs on the i-th algebra of the rotation.
 In the positive case the first round of the rotation runs at the top degree;
 every other trial draws its degree from 0 to the top, which keeps a sweep to
 degree 16 under a minute on two cores.  A freeness trial checks all 2^n colorings of its
@@ -42,7 +43,7 @@ from itertools import product
 import numpy as np
 
 from ncfree.algebra import Algebra, LinMap
-from ncfree.jacobi import FOCK_ENTRY_CAP, JacobiParams, fock_moment, meixner, meixner_convolve, moment
+from ncfree.jacobi import FOCK_ENTRY_CAP, JacobiParams, _fock, fock_moment, meixner, meixner_convolve, moment, nc_sum
 from ncfree.joint import (ORACLE_RUN_CAP, JointModel, colored_word, e_pi, free_convolve_word, joint_moment,
                           joint_moment_free_recursion)
 from ncfree.partitions import BLUE, DEGREE_CAP, RED, ColoredPartition, Partition12, _colored_nc12
@@ -97,6 +98,12 @@ def rand_model(alg, rng, algebraic):
     return JointModel(rand_params(alg, rng, algebraic), rand_params(alg, rng, algebraic))
 
 
+def rand_meixner_pair(alg, rng, algebraic):
+    """Two Meixner laws that share lambda and alpha, so that meixner_convolve adds their eta maps."""
+    lam, alpha = rand_lam(alg, rng, algebraic), rand_alpha(alg, rng, algebraic)
+    return [meixner(alg, lam, alpha, rand_alpha(alg, rng, algebraic)) for _ in range(2)]
+
+
 def rand_word(alg, rng, n):
     """The coefficients b_0..b_n of a degree-n word."""
     return [rand_element(alg, rng) for _ in range(n + 1)]
@@ -111,6 +118,13 @@ def check_fock(alg, rng, algebraic, n):
     return moment(p, cs), fock_moment(p, cs)
 
 
+def check_free_fock(alg, rng, algebraic, n):
+    params = rand_model(alg, rng, algebraic).by_color
+    colors = [((BLUE,), (RED,), (BLUE, RED))[i] for i in rng.integers(0, 3, size=n)]
+    cs = rand_word(alg, rng, n)
+    return nc_sum(cs, colors, params), _fock(cs, colors, params)
+
+
 def check_freeness(alg, rng, algebraic, n):
     model = rand_model(alg, rng, algebraic)
     cs = rand_word(alg, rng, n)
@@ -119,8 +133,7 @@ def check_freeness(alg, rng, algebraic, n):
 
 
 def check_meixner(alg, rng, algebraic, n):
-    lam, alpha = rand_lam(alg, rng, algebraic), rand_alpha(alg, rng, algebraic)
-    p1, p2 = (meixner(alg, lam, alpha, rand_alpha(alg, rng, algebraic)) for _ in range(2))
+    p1, p2 = rand_meixner_pair(alg, rng, algebraic)
     cs = rand_word(alg, rng, n)
     return free_convolve_word(JointModel(p1, p2), cs), fock_moment(meixner_convolve(p1, p2), cs)
 
@@ -142,14 +155,18 @@ def check_colourings(alg, rng, algebraic, n):
     return free_convolve_word(model, cs), every
 
 
-def fock_reach(alg):
-    """The top degree of a word whose largest Fock component, (d^2)^(n//2 + 1) entries, fits FOCK_ENTRY_CAP."""
-    return max(n for n in range(DEGREE_CAP + 1) if alg.dim ** (2 * (n // 2 + 1)) <= FOCK_ENTRY_CAP)
+def fock_reach(alg, colours=1):
+    """The top degree of a word whose deepest Fock level, colours^(n//2) labellings of (d^2)^(n//2 + 1) entries,
+    fits FOCK_ENTRY_CAP."""
+    fits = (n for n in range(DEGREE_CAP + 1) if colours ** (n // 2) * alg.dim ** (2 * (n // 2 + 1)) <= FOCK_ENTRY_CAP)
+    return max(fits)
 
 
 # name: (route, reach on an algebra, check, trials per word drawn)
 CHECKS = {
     "fock": ("partition sum vs Fock oracle", fock_reach, check_fock, 1),
+    "free-fock": ("partition sum vs free-product Fock, mixed colour sets", lambda alg: min(fock_reach(alg, 2), 11),
+                  check_free_fock, 1),
     "freeness": ("two-color sum vs freeness recursion", lambda alg: ORACLE_RUN_CAP, check_freeness, 4),
     "meixner": ("Meixner pair boxplus vs Fock oracle of its convolution", lambda alg: 11, check_meixner, 1),
     "epi": ("joint moment of brbr... vs sum of E_pi", lambda alg: DEGREE_CAP, check_epi, 1),

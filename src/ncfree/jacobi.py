@@ -3,10 +3,10 @@
 A distribution is described by two eventually-constant parameter sequences:
 self-adjoint algebra elements lambda_i and linear self-maps alpha_i
 (completely positive in the positive case, arbitrary in the algebraic one).
-Moments are computed two independent ways: a sum over non-crossing
-singleton/pair partitions with depth-indexed parameter insertion (nc_sum, on
-the first-return recursion of partitions, which also counts the families),
-and a ladder-operator evaluation on a Fock-type bimodule, its oracle.
+Moments are computed two independent ways from the same arguments: nc_sum
+sums over non-crossing singleton/pair partitions with depth-indexed parameters
+(on partitions' first-return recursion, which also counts the families), and
+its oracle _fock applies ladder operators on a free product of Fock modules.
 """
 
 from __future__ import annotations
@@ -255,60 +255,63 @@ def scalar_moments(params: JacobiParams, degree: int) -> list[complex]:
 # ---------------------------------------------------------------------------
 
 
-# complex entries of the largest Fock component, 128 MiB: full d = 3 through degree 13.  A call's tracemalloc peak is
-# 2.25-2.7x that component at even degrees and 4.25-4.75x at odd ones (full d = 2 and 3), up to 600 MiB at the cap
+# complex entries of the deepest Fock level, 128 MiB; a call's tracemalloc peak is 2.1-2.7x that (2.2-3.7x at odd n)
 FOCK_ENTRY_CAP = 2**23
 
 
 def fock_moment(params: JacobiParams, coeffs: Sequence[np.ndarray]) -> np.ndarray:
-    """<1, b_0 x b_1 x ... x b_n 1> with x = a* + p + a on the bimodule of
-    elementary tensors; degree-m vectors are stored as flat arrays over the
-    (m+1)-fold tensor basis of vectorized algebra elements.  Takes one word.
+    """<1, b_0 x b_1 ... x b_n 1> on the interacting Fock module of `params`: `_fock` of one colour."""
+    return _fock(coeffs, [(BLUE,)] * (len(coeffs) - 1), {BLUE: params})
 
-    Independent of the partition sum: the ladder operators are applied
-    symbolically and the degree-0 component is read off at the end.
-    A word whose largest component, (d^2)^(n//2 + 1) entries, exceeds
-    FOCK_ENTRY_CAP raises DegreeCapError before anything is allocated.
-    A call's tracemalloc peak is 2.25-2.7 times that component (odd n: 4.25-4.75).
-    """
+
+def _fock(
+    coeffs: Sequence[np.ndarray], colors: Sequence[Sequence[str]], params: Mapping[str, JacobiParams]
+) -> np.ndarray:
+    """<1, b_0 X_1 b_1 ... X_n b_n 1>, X_i the sum of x_c over the colours c in colors[i-1], on the reduced free
+    product over B of the interacting Fock modules of `params` (Voiculescu; Speicher): `nc_sum`'s oracle, on one
+    word.  A degree-m vector holds an array over the (m+1)-fold tensor basis per labelling of its levels by (colour,
+    run length), innermost last; with k the innermost run's length if its colour is c, else 0, x_c creates a level
+    of colour c, preserves with lambda^c_{k+1} and annihilates with alpha^c_k.  A deepest level of |C|^(n//2)
+    labellings (C the colours of `colors`) of (d^2)^(n//2 + 1) entries past FOCK_ENTRY_CAP raises DegreeCapError
+    before it is allocated; a call's tracemalloc peak is 2.1-2.7 times that level (odd n: 2.2-3.7)."""
     n = len(coeffs) - 1
     check_degree(n)
-    d = params.algebra.dim
-    D = d * d
-    if D ** (n // 2 + 1) > FOCK_ENTRY_CAP:
-        raise DegreeCapError(
-            f"a degree-{n} word on d = {d} needs {D}^{n // 2 + 1} = {D ** (n // 2 + 1)} entries per Fock vector;"
-            f" the Fock oracle is capped at {FOCK_ENTRY_CAP}"
-        )
-    coeffs = _checked_coeffs(params.algebra, coeffs)
+    coeffs = _checked_coeffs(next(iter(params.values())).algebra, coeffs)
     if coeffs.ndim > 3:
         raise ValueError("the Fock oracle takes one word: coefficients carry no batch axis")
-    eye = np.eye(d)
-    vec_unit = vec(params.algebra.unit())
-    # a component of degree m needs m steps up and m back down, so m <= n // 2;
-    # vec(b m) = (I (x) b) vec(m): b left-multiplies the first tensor factor
-    lam = [np.kron(eye, params.lam(m + 1)) for m in range(n // 2 + 1)]
-    # a on a degree-(m+1) vector sends (c0, c1, rest) to (alpha_{m+1}[c0] c1, rest)
-    ann = [
-        np.einsum("cC,rpi->cpiCr", eye, params.alpha(m + 1).dense.reshape(d, d, D)).reshape(D, D * D)
-        for m in range(n // 2)
-    ]
+    d, m, C = coeffs.shape[-1], n // 2, len({c for cs in colors for c in cs})
+    if C**m * (d * d) ** (m + 1) > FOCK_ENTRY_CAP:
+        raise DegreeCapError(
+            f"a degree-{n} word on d = {d} needs {d * d}^{m + 1} = {(d * d) ** (m + 1)} entries per Fock vector, for"
+            f" each of {C}^{m} labellings of its levels; the Fock oracle is capped at {FOCK_ENTRY_CAP}"
+        )
+    eye, unit = np.eye(d), vec(np.eye(d))
+    # vec(b x) = (I (x) b) vec(x) on the innermost factor; alpha_k sends (x0, x1, rest) to (alpha_k[x0] x1, rest)
+    lam = {c: [np.kron(eye, p.lam(k)) for k in range(1, m + 2)] for c, p in params.items()}
+    ann = {c: [np.einsum("cC,rpi->cpiCr", eye, p.alpha(k).dense.reshape(d, d, -1)).reshape(d * d, -1)
+               for k in range(1, m + 1)] for c, p in params.items()}
 
-    def first(op: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return (op @ v.reshape(op.shape[1], -1)).reshape(-1)
+    def put(key: tuple, v: np.ndarray) -> None:  # accumulates in place
+        acc = new.setdefault(key, v)
+        if acc is not v:
+            acc += v
 
-    state = [vec(coeffs[n])]  # state[m]: the degree-m component
+    state = {(): unit[:, None]}  # labels -> component as a (d^2, rest) array, before b_i of its step acts
     for i in range(n, 0, -1):
-        new, lop = [], np.kron(eye, coeffs[i - 1])
-        for m in range(min(len(state) + 1, i)):  # degrees above i - 1 can never return to degree 0
-            v = np.outer(vec_unit, state[m - 1]).reshape(-1) if m else 0  # creation
-            if m < len(state):
-                v = v + first(lam[m], state[m])  # preservation
-            if m + 1 < len(state):
-                v = v + first(ann[m], state[m + 1])  # annihilation
-            new.append(first(lop, v))
+        new, lop = {}, np.kron(eye, coeffs[i])
+        while state:  # a component is dropped as soon as its images are formed
+            key, v = state.popitem()
+            v = lop @ v
+            for c in colors[i - 1]:
+                k = key[-1][1] if key and key[-1][0] == c else 0
+                if len(key) + 2 <= i:  # a degree above i - 1 can never return to degree 0
+                    put(key + ((c, k + 1),), np.outer(unit, v))
+                if len(key) < i:
+                    put(key, lam[c][k] @ v)
+                if k:
+                    put(key[:-1], ann[c][k - 1] @ v.reshape(d**4, -1))
         state = new
-    return unvec(state[0], d)
+    return coeffs[0] @ unvec(state[()][:, 0], d)
 
 
 # ---------------------------------------------------------------------------

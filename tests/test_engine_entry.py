@@ -414,12 +414,13 @@ def test_fock_oracle_caps_its_memory():
 
 def test_fock_oracle_peak_memory_is_a_small_multiple_of_its_largest_component():
     # full d = 3: the largest component holds 9^5 complex entries at degrees 8 and 9.  One call peaks below 3x
-    # that at degree 8, and below 5x at degree 9, where the top component is built on two steps in a row
+    # that at degree 8, and below 3.5x at degree 9, where the top component is built on two steps in a row and
+    # each component is dropped as soon as its images are formed
     rng = np.random.default_rng(4)
     alg = Algebra("full", 3)
     p = rand_params(rng, alg, 1)
     word = [rand_element(rng, alg) for _ in range(10)]
-    for n, multiple in ((8, 3), (9, 5)):
+    for n, multiple in ((8, 3), (9, 3.5)):
         fock_moment(p, word[: n + 1])  # a first call may allocate once-only caches of numpy
         tracemalloc.start()
         try:
@@ -428,3 +429,66 @@ def test_fock_oracle_peak_memory_is_a_small_multiple_of_its_largest_component():
         finally:
             tracemalloc.stop()
         assert peak <= multiple * 9**5 * np.dtype(complex).itemsize, n
+
+
+# -- the free-product Fock oracle: nc_sum's arguments, any colouring ---------------------------------
+
+ALGEBRAS = [Algebra("full", 1), Algebra("full", 2), Algebra("full", 3), Algebra("diagonal", 2), Algebra("diagonal", 3)]
+PATTERNS = {  # colors for a degree-n word
+    "one colour": lambda rng, n: [(BLUE,)] * n,
+    "fixed colouring": lambda rng, n: [((BLUE,), (RED,))[i] for i in rng.integers(0, 2, size=n)],
+    "both colours everywhere": lambda rng, n: [(BLUE, RED)] * n,
+    "mixed sets": lambda rng, n: [((BLUE,), (RED,), (BLUE, RED))[i] for i in rng.integers(0, 3, size=n)],
+}
+
+
+def rand_algebraic_params(rng, alg, head):
+    """A law outside the positive case: lambdas that are not self-adjoint, and alphas from random dense
+    matrices, kept to the diagonal positions on the diagonal algebra."""
+    d = alg.dim
+    keep = np.eye(d, dtype=bool).reshape(-1) | (alg.kind == "full")
+
+    def alpha():
+        dense = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+        return LinMap.from_dense(alg, np.where(np.outer(keep, keep), dense, 0))
+
+    lams = [rand_element(rng, alg) for _ in range(head + 1)]
+    return JacobiParams(alg, tuple(lams[1:]), tuple(alpha() for _ in range(head)), lams[0], alpha())
+
+
+@pytest.mark.parametrize("algebraic", [False, True], ids=["positive", "algebraic"])
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda a: f"{a.kind}{a.dim}")
+@pytest.mark.parametrize("pattern", list(PATTERNS))
+def test_free_product_fock_oracle_matches_nc_sum(pattern, alg, algebraic):
+    # the colours are free in the free product by construction, and in the partition sum by its reset rule
+    rng = np.random.default_rng([list(PATTERNS).index(pattern), ALGEBRAS.index(alg), algebraic])
+    law = rand_algebraic_params if algebraic else rand_params
+    for n in (8, *rng.integers(0, 8, size=2)):
+        params = {c: law(rng, alg, int(rng.integers(0, 3))) for c in (BLUE, RED)}
+        colors = PATTERNS[pattern](rng, n)
+        coeffs = [rand_element(rng, alg) for _ in range(n + 1)]
+        want = nc_sum(coeffs, colors, params)
+        assert np.max(np.abs(jacobi._fock(coeffs, colors, params) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_free_product_fock_oracle_caps_its_deepest_level():
+    # full d = 3 at degree 10: one colour holds 9^6 entries at its deepest level, two colours 2^5 labellings of them
+    rng = np.random.default_rng(5)
+    alg = Algebra("full", 3)
+    params = {c: rand_params(rng, alg, 1) for c in (BLUE, RED)}
+    word = [rand_element(rng, alg) for _ in range(11)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(DegreeCapError, match="2\\^5 labellings"):
+            jacobi._fock(word, [(BLUE, RED)] * 10, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9**6 * np.dtype(complex).itemsize  # refused before a single Fock vector is allocated
+    assert_negligible(jacobi._fock(word, [(BLUE,)] * 10, params), moment(params[BLUE], word))
+
+
+def test_free_product_fock_oracle_rejects_an_empty_word():
+    # the cap counts the colours of the word only after the word is checked
+    with pytest.raises(ValueError, match="at least one coefficient"):
+        jacobi._fock([], [], {BLUE: SEMID, RED: SEMID})

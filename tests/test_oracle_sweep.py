@@ -11,6 +11,7 @@ import pytest
 from ncfree import joint
 from ncfree.algebra import Algebra
 from ncfree.joint import JointModel
+from ncfree.partitions import BLUE
 
 _spec = importlib.util.spec_from_file_location(
     "oracle_sweep", Path(__file__).resolve().parents[1] / "scripts" / "oracle_sweep.py"
@@ -38,7 +39,13 @@ def red_as_blue(mp):
     mp.setattr(sweep, "free_convolve_word", blue_twice)
 
 
-BROKEN = {"epi": depth_one, "colourings": red_as_blue, "meixner": red_as_blue}
+def red_as_blue_in_nc_sum(mp):
+    """nc_sum gives red the blue parameters."""
+    engine = sweep.nc_sum
+    mp.setattr(sweep, "nc_sum", lambda cs, colors, params: engine(cs, colors, dict.fromkeys(params, params[BLUE])))
+
+
+BROKEN = {"epi": depth_one, "colourings": red_as_blue, "meixner": red_as_blue, "free-fock": red_as_blue_in_nc_sum}
 
 
 @pytest.mark.parametrize("alg", [Algebra("diagonal", 2), Algebra("full", 3)], ids=["diagonal2", "full3"])
