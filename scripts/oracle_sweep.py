@@ -7,16 +7,17 @@ function of (algebra, rng, case, degree) that draws its laws and word from
 the script's one builder and returns (engine value, oracle value):
 
   fock        moment vs fock_moment
-  free-fock   nc_sum vs its free-product Fock oracle _fock, on random per-position colour sets
   freeness    joint_moment vs joint_moment_free_recursion, every coloring of the word
   meixner     free_convolve_word of a Meixner pair vs fock_moment of meixner_convolve
   epi         joint_moment of b r b r ... vs the sum of e_pi over its colored NC_{1,2} partitions
   colourings  free_convolve_word vs the sum of joint_moment over all 2^n colorings
+  free-fock   nc_sum vs its free-product Fock oracle _fock, on random per-position colour sets
 
 --degree D is the top degree of every check, and each stops at its own reach:
 freeness at ORACLE_RUN_CAP, fock where the Fock oracle meets FOCK_ENTRY_CAP
-(the degree cap, or 13 on d = 3), free-fock where two colours meet it, or at 11
-(9 on d = 3), epi at the degree cap, meixner at 11 and colourings at 9.  Trial i of a check runs on the i-th algebra of the rotation.
+(the degree cap, or 13 on d = 3), free-fock where two colours meet it but at
+most at 11 (9 on d = 3), epi at the degree cap, meixner at 11 and colourings
+at 9.  Trial i of a check runs on the i-th algebra of the rotation.
 In the positive case the first round of the rotation runs at the top degree;
 every other trial draws its degree from 0 to the top, which keeps a sweep to
 degree 16 under a minute on two cores.  A freeness trial checks all 2^n colorings of its
@@ -162,15 +163,16 @@ def fock_reach(alg, colours=1):
     return max(fits)
 
 
-# name: (route, reach on an algebra, check, trials per word drawn)
+# name: (route, reach on an algebra, check, trials per word drawn); a check draws from the stream of its position,
+# so a new check goes last and the others keep their inputs
 CHECKS = {
     "fock": ("partition sum vs Fock oracle", fock_reach, check_fock, 1),
-    "free-fock": ("partition sum vs free-product Fock, mixed colour sets", lambda alg: min(fock_reach(alg, 2), 11),
-                  check_free_fock, 1),
     "freeness": ("two-color sum vs freeness recursion", lambda alg: ORACLE_RUN_CAP, check_freeness, 4),
     "meixner": ("Meixner pair boxplus vs Fock oracle of its convolution", lambda alg: 11, check_meixner, 1),
     "epi": ("joint moment of brbr... vs sum of E_pi", lambda alg: DEGREE_CAP, check_epi, 1),
     "colourings": ("free convolution vs sum over 2^n colorings", lambda alg: 9, check_colourings, 1),
+    "free-fock": ("partition sum vs free-product Fock, mixed colour sets", lambda alg: min(fock_reach(alg, 2), 11),
+                  check_free_fock, 1),
 }
 
 
