@@ -12,12 +12,13 @@ the script's one builder and returns (engine value, oracle value):
   epi         joint_moment of b r b r ... vs the sum of e_pi over its colored NC_{1,2} partitions
   colourings  free_convolve_word vs the sum of joint_moment over all 2^n colorings
   free-fock   nc_sum vs its free-product Fock oracle _fock, on random per-position colour sets
+  cf          moment of b_0 = 1, b_i = b vs coefficient n of cf_series at depth n//2 + 1
 
 --degree D is the top degree of every check, and each stops at its own reach:
 freeness at ORACLE_RUN_CAP, fock where the Fock oracle meets FOCK_ENTRY_CAP
 (the degree cap, or 13 on d = 3), free-fock where two colours meet it but at
-most at 11 (9 on d = 3), epi at the degree cap, meixner at 11 and colourings
-at 9.  Trial i of a check runs on the i-th algebra of the rotation.
+most at 11 (9 on d = 3), epi and cf at the degree cap, meixner at 11 and
+colourings at 9.  Trial i of a check runs on the i-th algebra of the rotation.
 In the positive case the first round of the rotation runs at the top degree;
 every other trial draws its degree from 0 to the top, which keeps a sweep to
 degree 16 under a minute on two cores.  A freeness trial checks all 2^n colorings of its
@@ -44,7 +45,8 @@ from itertools import product
 import numpy as np
 
 from ncfree.algebra import Algebra, LinMap
-from ncfree.jacobi import FOCK_ENTRY_CAP, JacobiParams, _fock, fock_moment, meixner, meixner_convolve, moment, nc_sum
+from ncfree.jacobi import (FOCK_ENTRY_CAP, JacobiParams, _fock, cf_series, fock_moment, meixner, meixner_convolve,
+                           moment, nc_sum)
 from ncfree.joint import (ORACLE_RUN_CAP, JointModel, colored_word, e_pi, free_convolve_word, joint_moment,
                           joint_moment_free_recursion)
 from ncfree.partitions import BLUE, DEGREE_CAP, RED, ColoredPartition, Partition12, _colored_nc12
@@ -156,6 +158,12 @@ def check_colourings(alg, rng, algebraic, n):
     return free_convolve_word(model, cs), every
 
 
+def check_cf(alg, rng, algebraic, n):
+    p = rand_params(alg, rng, algebraic)
+    b = rand_element(alg, rng)
+    return moment(p, [alg.unit()] + [b] * n), cf_series(p, n // 2 + 1, b, n)[n]
+
+
 def fock_reach(alg, colours=1):
     """The top degree of a word whose deepest Fock level, colours^(n//2) labellings of (d^2)^(n//2 + 1) entries,
     fits FOCK_ENTRY_CAP."""
@@ -173,6 +181,7 @@ CHECKS = {
     "colourings": ("free convolution vs sum over 2^n colorings", lambda alg: 9, check_colourings, 1),
     "free-fock": ("partition sum vs free-product Fock, mixed colour sets", lambda alg: min(fock_reach(alg, 2), 11),
                   check_free_fock, 1),
+    "cf": ("moment of (X b)^n vs cf_series at depth n//2 + 1", lambda alg: DEGREE_CAP, check_cf, 1),
 }
 
 

@@ -1,12 +1,11 @@
 """The B-valued Jacobi-Szego distribution engine.
 
-A distribution is described by two eventually-constant parameter sequences:
-self-adjoint algebra elements lambda_i and linear self-maps alpha_i
-(completely positive in the positive case, arbitrary in the algebraic one).
-Moments are computed two independent ways from the same arguments: nc_sum
-sums over non-crossing singleton/pair partitions with depth-indexed parameters
-(on partitions' first-return recursion, which also counts the families), and
-its oracle _fock applies ladder operators on a free product of Fock modules.
+A distribution is described by two eventually-constant parameter sequences: self-adjoint algebra elements lambda_i
+and linear self-maps alpha_i (completely positive in the positive case, arbitrary in the algebraic one).  Moments are
+computed two independent ways from the same arguments: nc_sum sums over non-crossing singleton/pair partitions with
+depth-indexed parameters (on partitions' first-return recursion, which also counts the families), and its oracle
+_fock applies ladder operators on a free product of Fock modules.  The parameters' continued fraction is one level
+loop, _cf_at, at points of M_m(B): cf_approximant evaluates it at b, and cf_series at the nilpotent point S (x) b.
 """
 
 from __future__ import annotations
@@ -157,6 +156,16 @@ def _checked_coeffs(algebra: Algebra, coeffs: Sequence[np.ndarray]) -> np.ndarra
     return stack
 
 
+def _checked_word(coeffs, colors, params) -> tuple[int, np.ndarray]:
+    """nc_sum's and _fock's entry check: the degree n, the coefficients, and n sets of distinct colours of `params`."""
+    n = len(coeffs) - 1
+    check_degree(n)
+    coeffs = _checked_coeffs(next(iter(params.values())).algebra, coeffs)
+    if len(colors) != n or any(len(set(cs)) < len(cs) or not set(cs) <= params.keys() for cs in colors):
+        raise ValueError(f"a degree-{n} word takes {n} sets of distinct colours of {sorted(params)}, got {colors!r}")
+    return n, coeffs
+
+
 def nc_sum(
     coeffs: Sequence[np.ndarray],
     colors: Sequence[Sequence[str]],
@@ -165,7 +174,7 @@ def nc_sum(
     """Sum of the partition terms over NC_{1,2}(n) and every block coloring
     allowed at both ends of each block; colors[i-1] lists the colors allowed
     at position i.  The entry of every partition-sum engine: it checks the
-    degree against the cap and the coefficients against the algebra, then
+    degree, the coefficients and the colours (`_checked_word`), then
     tabulates the parameters once (`_tables`) and sums by the first-return
     recursion of `partitions._first_return` rather than term by term.
     Coefficients may carry a leading batch shape, broadcast together: a grid of
@@ -174,9 +183,7 @@ def nc_sum(
     When lambda_1..lambda_n are exactly zero, singleton blocks contribute
     nothing and the sum runs over pairings only.
     """
-    n = len(coeffs) - 1
-    check_degree(n)
-    coeffs = _checked_coeffs(next(iter(params.values())).algebra, coeffs)
+    n, coeffs = _checked_word(coeffs, colors, params)
     pairs_only = not any(np.any(lam) for par in params.values() for lam in (*par.head_lambda, par.tail_lambda)[:n])
     zero = np.zeros_like(coeffs[0])
     if pairs_only and n % 2:  # no pairing covers an odd number of positions
@@ -216,8 +223,7 @@ class MomentTable:
         if n > self.degree:
             raise DegreeCapError(f"table holds moments through degree {self.degree}")
 
-    def __call__(self, coeffs: Sequence[np.ndarray]) -> np.ndarray:
-        coeffs = [np.asarray(c, dtype=complex) for c in coeffs]
+    def __call__(self, coeffs: Sequence[np.ndarray]) -> np.ndarray:  # fn's engine checks and converts the word
         self._check_held(len(coeffs) - 1)
         return self.fn(coeffs)
 
@@ -255,7 +261,7 @@ def scalar_moments(params: JacobiParams, degree: int) -> list[complex]:
 # ---------------------------------------------------------------------------
 
 
-# complex entries of the deepest Fock level, 128 MiB; a call's tracemalloc peak is 2.1-2.7x that (2.2-3.7x at odd n)
+# complex entries of the deepest Fock level, 128 MiB; a call's tracemalloc peak is 2.1-2.4x that (2.2-2.7x at odd n)
 FOCK_ENTRY_CAP = 2**23
 
 
@@ -273,10 +279,8 @@ def _fock(
     run length), innermost last; with k the innermost run's length if its colour is c, else 0, x_c creates a level
     of colour c, preserves with lambda^c_{k+1} and annihilates with alpha^c_k.  A deepest level of |C|^(n//2)
     labellings (C the colours of `colors`) of (d^2)^(n//2 + 1) entries past FOCK_ENTRY_CAP raises DegreeCapError
-    before it is allocated; a call's tracemalloc peak is 2.1-2.7 times that level (odd n: 2.2-3.7)."""
-    n = len(coeffs) - 1
-    check_degree(n)
-    coeffs = _checked_coeffs(next(iter(params.values())).algebra, coeffs)
+    before it is allocated; a call's tracemalloc peak is 2.1-2.4 times that level (odd n: 2.2-2.7)."""
+    n, coeffs = _checked_word(coeffs, colors, params)
     if coeffs.ndim > 3:
         raise ValueError("the Fock oracle takes one word: coefficients carry no batch axis")
     d, m, C = coeffs.shape[-1], n // 2, len({c for cs in colors for c in cs})
@@ -285,7 +289,7 @@ def _fock(
             f"a degree-{n} word on d = {d} needs {d * d}^{m + 1} = {(d * d) ** (m + 1)} entries per Fock vector, for"
             f" each of {C}^{m} labellings of its levels; the Fock oracle is capped at {FOCK_ENTRY_CAP}"
         )
-    eye, unit = np.eye(d), vec(np.eye(d))
+    eye, unit = np.eye(d), vec(np.eye(d, dtype=complex))  # a complex unit: np.outer casts nothing
     # vec(b x) = (I (x) b) vec(x) on the innermost factor; alpha_k sends (x0, x1, rest) to (alpha_k[x0] x1, rest)
     lam = {c: [np.kron(eye, p.lam(k)) for k in range(1, m + 2)] for c, p in params.items()}
     ann = {c: [np.einsum("cC,rpi->cpiCr", eye, p.alpha(k).dense.reshape(d, d, -1)).reshape(d * d, -1)
@@ -299,9 +303,8 @@ def _fock(
     state = {(): unit[:, None]}  # labels -> component as a (d^2, rest) array, before b_i of its step acts
     for i in range(n, 0, -1):
         new, lop = {}, np.kron(eye, coeffs[i])
-        while state:  # a component is dropped as soon as its images are formed
-            key, v = state.popitem()
-            v = lop @ v
+        for key in sorted(state, key=len, reverse=True):  # the deepest first, each dropped once its images are formed
+            v = lop @ state.pop(key)
             for c in colors[i - 1]:
                 k = key[-1][1] if key and key[-1][0] == c else 0
                 if len(key) + 2 <= i:  # a degree above i - 1 can never return to degree 0
@@ -310,6 +313,7 @@ def _fock(
                     put(key, lam[c][k] @ v)
                 if k:
                     put(key[:-1], ann[c][k - 1] @ v.reshape(d**4, -1))
+            del v  # before the next component's product is formed
         state = new
     return coeffs[0] @ unvec(state[()][:, 0], d)
 
@@ -391,41 +395,37 @@ def _checked_point(algebra: Algebra, b: np.ndarray) -> np.ndarray:
     return b
 
 
-def cf_approximant(params: JacobiParams, k: int, b: np.ndarray) -> np.ndarray:
-    """Numeric value of the depth-k finite continued fraction at b."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    b = _checked_point(params.algebra, b)
-    one = params.algebra.unit()
-    s = one
+def _cf_at(params: JacobiParams, k: int, u: np.ndarray) -> np.ndarray:
+    """The depth-k continued fraction at u in M_m(B), an (m d, m d) array: from s = 1, level i = k..1 sets
+    s = (1 - lambda_i u - alpha_i(u s) u)^-1, lambda_i acting as 1 (x) lambda_i and alpha_i block by block.  u is
+    block upper triangular, so a level is singular iff a diagonal block is, which raises SingularResolventError."""
+    d = params.algebra.dim
+    m = len(u) // d
+    one = s = np.eye(m * d, dtype=complex)
     for i in range(k, 0, -1):
-        a = one - params.lam(i) @ b - params.alpha(i)(b @ s) @ b
-        if np.linalg.cond(a) * np.finfo(float).eps >= 1:  # singular to working precision
+        x = params.alpha(i)((u @ s).reshape(m, d, m, d).swapaxes(1, 2))  # on the (m, m, d, d) stack of blocks
+        a = one - np.kron(np.eye(m), params.lam(i)) @ u - x.swapaxes(1, 2).reshape(m * d, -1) @ u
+        if np.linalg.cond(np.einsum("iaib->iab", a.reshape(m, d, m, d))).max() * np.finfo(float).eps >= 1:
             raise SingularResolventError(i)
         s = np.linalg.inv(a)
     return s
 
 
-def cf_series(params: JacobiParams, k: int, b: np.ndarray, degree: int) -> list[np.ndarray]:
-    """Formal expansion of the depth-k continued fraction: coefficient n is
-    the degree-n term of the approximant evaluated at t*b, as a series in t.
+def cf_approximant(params: JacobiParams, k: int, b: np.ndarray) -> np.ndarray:
+    """Numeric value of the depth-k finite continued fraction at b: `_cf_at` with m = 1."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return _cf_at(params, k, _checked_point(params.algebra, b))
 
-    A series is an (N, d, d) stack of its coefficients.  Level i inverts
-    1 - x with x = lambda_i t b + alpha_i(t b s) t b, and multiplying by t b
-    shifts a series up one order: x is lambda_i b at order 1 and
-    alpha_i(b s_{m-2}) b at each order m >= 2."""
+
+def cf_series(params: JacobiParams, k: int, b: np.ndarray, degree: int) -> list[np.ndarray]:
+    """Formal expansion of the depth-k continued fraction at t*b in t: coefficient n is block (0, n) of `_cf_at` at
+    S (x) b, S the (degree + 1)-square shift, where each degree-n term x is S^n (x) x and each level's diagonal is 1."""
     if k < 1 or degree < 0:
         raise ValueError("k >= 1 and degree >= 0 required")
     b = _checked_point(params.algebra, b)
-    s = np.zeros((degree + 1, *b.shape), dtype=complex)
-    s[0] = params.algebra.unit()
-    for i in range(k, 0, -1):
-        x = np.zeros_like(s)
-        x[1:2] = params.lam(i) @ b
-        x[2:] = params.alpha(i)(b @ s[:-2]) @ b
-        for m in range(1, degree + 1):  # (1 - x)^-1 has s_0 = 1 and s_m = sum_j x_j s_{m-j}
-            s[m] = np.einsum("jab,jbc->ac", x[1 : m + 1], s[m - 1 :: -1])
-    return list(s)
+    s = _cf_at(params, k, np.kron(np.eye(degree + 1, k=1), b))
+    return list(s[: len(b)].reshape(len(b), degree + 1, -1).swapaxes(0, 1))
 
 
 # ---------------------------------------------------------------------------

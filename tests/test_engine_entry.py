@@ -414,13 +414,13 @@ def test_fock_oracle_caps_its_memory():
 
 def test_fock_oracle_peak_memory_is_a_small_multiple_of_its_largest_component():
     # full d = 3: the largest component holds 9^5 complex entries at degrees 8 and 9.  One call peaks below 3x
-    # that at degree 8, and below 3.5x at degree 9, where the top component is built on two steps in a row and
-    # each component is dropped as soon as its images are formed
+    # that at both, though at degree 9 the top component is built on two steps in a row: the deepest component
+    # of a step goes first, and each is dropped as soon as its images are formed
     rng = np.random.default_rng(4)
     alg = Algebra("full", 3)
     p = rand_params(rng, alg, 1)
     word = [rand_element(rng, alg) for _ in range(10)]
-    for n, multiple in ((8, 3), (9, 3.5)):
+    for n, multiple in ((8, 3), (9, 3)):
         fock_moment(p, word[: n + 1])  # a first call may allocate once-only caches of numpy
         tracemalloc.start()
         try:
@@ -486,6 +486,20 @@ def test_free_product_fock_oracle_caps_its_deepest_level():
         tracemalloc.stop()
     assert peak < 9**6 * np.dtype(complex).itemsize  # refused before a single Fock vector is allocated
     assert_negligible(jacobi._fock(word, [(BLUE,)] * 10, params), moment(params[BLUE], word))
+
+
+@pytest.mark.parametrize("engine", [nc_sum, jacobi._fock], ids=["nc_sum", "_fock"])
+@pytest.mark.parametrize(
+    "colors",
+    [[(BLUE, BLUE)] * 2, [(BLUE,), (RED,)], [(BLUE,)] * 3, [(BLUE,)]],
+    ids=["repeated colour", "colour without parameters", "a set too many", "a set too few"],
+)
+def test_engines_refuse_colour_sets_that_do_not_fit_the_word(engine, colors):
+    # a repeated colour was summed twice (2 by nc_sum and 4 by _fock, where the moment is 1), a colour without
+    # parameters was a bare KeyError, and a set per position is what a degree-2 word reads
+    semi = semicircular(Algebra("full", 1), LinMap.identity(Algebra("full", 1)))
+    with pytest.raises(ValueError, match="a degree-2 word takes 2 sets of distinct colours of \\['b'\\]"):
+        engine([np.eye(1)] * 3, colors, {BLUE: semi})
 
 
 def test_free_product_fock_oracle_rejects_an_empty_word():

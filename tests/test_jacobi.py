@@ -217,6 +217,64 @@ def test_cf_semicircular_catalan():
     assert np.allclose([ms[2 * n].real for n in range(8)], CATALAN[:8])
 
 
+CF_ALGEBRAS = [ALG1, ALG2, Algebra("full", 3), Algebra("diagonal", 2), Algebra("diagonal", 3)]
+
+
+def cf_law(rng, alg, algebraic):
+    """A law with heads of 0-2 lambdas and alphas, and an element maker: self-adjoint lambdas and Kraus alphas, or
+    lambdas that are not self-adjoint and alphas from random dense matrices, kept to the diagonal positions on D_d."""
+    d = alg.dim
+    keep = np.eye(d, dtype=bool).reshape(-1) | (alg.kind == "full")
+
+    def element():
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        return np.diag(np.diag(a)) if alg.kind == "diagonal" else a
+
+    def lam():
+        a = element()
+        return a if algebraic else a + a.conj().T
+
+    def alpha():
+        if not algebraic:
+            return LinMap.from_kraus(alg, [element() for _ in range(2)])
+        dense = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+        return LinMap.from_dense(alg, np.where(np.outer(keep, keep), dense, 0))
+
+    n_lam, n_alpha = rng.integers(0, 3, size=2)
+    law = JacobiParams(alg, tuple(lam() for _ in range(n_lam)), tuple(alpha() for _ in range(n_alpha)), lam(), alpha())
+    return law, element
+
+
+def assert_coefficientwise_close(got, want):
+    """Each coefficient within 1e-12 of the largest entry of its own reference."""
+    assert len(got) == len(want)
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w)), i
+
+
+@pytest.mark.parametrize("algebraic", [False, True], ids=["positive", "algebraic"])
+@pytest.mark.parametrize("alg", CF_ALGEBRAS, ids=lambda a: f"{a.kind}{a.dim}")
+def test_cf_series_at_depth_n_over_2_plus_1_is_the_moment_sequence(alg, algebraic):
+    # depth n//2 + 1 reaches every lambda and alpha a degree-n moment draws, so the expansion is exact through n
+    rng = np.random.default_rng([CF_ALGEBRAS.index(alg), algebraic])
+    for n in (8, *rng.integers(0, 8, size=2)):
+        p, element = cf_law(rng, alg, algebraic)
+        b = element()
+        assert_coefficientwise_close(cf_series(p, n // 2 + 1, b, n), moment_sequence(p, b, n))
+
+
+def test_cf_series_never_raises_at_an_ill_conditioned_shift_point(monkeypatch):
+    # at S (x) b with b = 100 b' a whole level matrix has cond * eps far above 1, but its diagonal blocks are exactly
+    # 1: no level raises, and every coefficient keeps its own relative accuracy
+    p, b, conds = rand_params(), 100 * rand_sa(), []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: conds.append(np.linalg.cond(a)) or inv(a))
+    series = cf_series(p, 5, b, 8)
+    monkeypatch.undo()
+    assert len(conds) == 5 and max(conds) * np.finfo(float).eps >= 1
+    assert_coefficientwise_close(series, moment_sequence(p, b, 8))
+
+
 # -- named families ----------------------------------------------------------
 
 
