@@ -28,8 +28,11 @@ def negligible(x, *scale, axis=None) -> bool:
     operands, the inputs that produced `x`; `a` and `b` are close when
     negligible(a - b, a, b).  Against a zero scale only zero is negligible.
     With `axis`, each slice over those axes is judged on its own."""
-    bound = functools.reduce(np.maximum, (np.max(np.abs(v), axis=axis, initial=0.0) for v in scale), 0.0)
-    return bool((np.max(np.abs(x), axis=axis, initial=0.0) <= TOL * bound).all())
+    bound = 0.0  # no scale is a zero scale; np.maximum, unlike max, keeps a NaN, which fails the comparison
+    for i, v in enumerate(scale):
+        m = np.abs(v).max(axis=axis, initial=0.0)
+        bound = np.maximum(bound, m) if i else m
+    return bool((np.abs(x).max(axis=axis, initial=0.0) <= TOL * bound).all())
 
 
 @dataclass(frozen=True)
@@ -73,12 +76,14 @@ def unit_matrix(d: int, i: int, j: int) -> np.ndarray:
 
 
 def is_self_adjoint(mat: np.ndarray) -> bool:
-    return negligible(mat - mat.conj().T, mat)
+    """Whether `mat` is self-adjoint, or each matrix of a stack (..., k, k) is, each judged against itself."""
+    return negligible(mat - mat.conj().swapaxes(-1, -2), mat, axis=(-2, -1))
 
 
 def _is_psd(mat: np.ndarray) -> bool:
-    h = (mat + mat.conj().T) / 2
-    return is_self_adjoint(mat) and negligible(np.minimum(np.linalg.eigvalsh(h), 0), mat)
+    """Whether `mat` is positive semidefinite, or each matrix of a stack (..., k, k) is, each judged against itself."""
+    eig = np.linalg.eigvalsh((mat + mat.conj().swapaxes(-1, -2)) / 2)[..., None]  # one (k, 1) column per matrix
+    return is_self_adjoint(mat) and negligible(np.minimum(eig, 0), mat, axis=(-2, -1))
 
 
 def vec(mat: np.ndarray) -> np.ndarray:

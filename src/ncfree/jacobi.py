@@ -20,6 +20,7 @@ import numpy as np
 from .algebra import (
     Algebra,
     LinMap,
+    _is_psd,
     algebra_from_json,
     algebra_to_json,
     element_from_json,
@@ -52,21 +53,21 @@ class JacobiParams:
         object.__setattr__(self, "head_lambda", tuple(self.head_lambda))  # the transforms extend the heads as tuples
         object.__setattr__(self, "head_alpha", tuple(self.head_alpha))
         alg = self.algebra
-        for lam in (*self.head_lambda, self.tail_lambda):
-            if not alg.contains(np.asarray(lam)):
-                raise ValueError("lambda entries must live in the algebra")
+        lams = [np.asarray(lam) for lam in (*self.head_lambda, self.tail_lambda)]
+        # the lambdas, and in the positive case the alphas' Choi matrices, are tested as one stack each, every
+        # matrix judged against itself
+        if any(lam.shape != (alg.dim,) * 2 for lam in lams) or not alg.contains(np.array(lams), stacked=True):
+            raise ValueError("lambda entries must live in the algebra")
         for a in (*self.head_alpha, self.tail_alpha):
             if a.algebra != alg:
                 raise ValueError("alpha maps must act on the same algebra")
             if alg.kind == "diagonal" and not a.preserves_diagonal():
                 raise ValueError("alpha maps must send the algebra into itself")
         if self.positive:
-            for lam in (*self.head_lambda, self.tail_lambda):
-                if not is_self_adjoint(np.asarray(lam)):
-                    raise ValueError("positive flag requires self-adjoint lambdas")
-            for a in (*self.head_alpha, self.tail_alpha):
-                if not a.is_cp():
-                    raise ValueError("positive flag requires completely positive alphas")
+            if not is_self_adjoint(np.array(lams)):
+                raise ValueError("positive flag requires self-adjoint lambdas")
+            if not _is_psd(np.array([a.choi() for a in (*self.head_alpha, self.tail_alpha)])):
+                raise ValueError("positive flag requires completely positive alphas")
 
     def lam(self, i: int) -> np.ndarray:
         if i < 1:
@@ -126,19 +127,19 @@ def scalar_jacobi(
 
 def _tables(coeffs: np.ndarray, params: Mapping[str, JacobiParams]) -> tuple[dict, dict, Callable]:
     """Per color c and depth k = 1..n: lam_b[c][k-1][i] = lambda_k @ b_i, and alpha_b[c][k-1][q] sends
-    the row-major `ravel(X)` to `ravel(alpha_k(X) @ b_q)`.  Past the head every depth shares the head+1 entry.
-    Entries carry the batch shape of `coeffs`; `flat` makes X the column alpha_b acts on, a vector for one word."""
-    n, batch = len(coeffs) - 1, coeffs.shape[1:-2]
-    lam_b, alpha_b = {}, {}
+    the row-major `ravel(X)` to `ravel(alpha_k(X) @ b_q)`.  Only the depths a degree-n word reaches are formed (a
+    singleton at depth k sits inside k - 1 pairs, so it needs 2k - 1 positions, and a pair 2k); past those, and past
+    a head, every depth shares the last entry formed.  Entries carry the batch shape of `coeffs`; `flat` makes X the
+    column alpha_b acts on, a vector for one word."""
+    n, batch, d = len(coeffs) - 1, coeffs.shape[1:-2], coeffs.shape[-1]
+    shape, lam_b, alpha_b = (n + 1, *batch, d * d, d * d), {}, {}
     for c, par in params.items():
-        levels = range(1, min(n, max(len(par.head_lambda), len(par.head_alpha)) + 1) + 1)
-        lam_b[c] = [list(par.lam(k) @ coeffs) for k in levels]
-        d = par.algebra.dim  # the dense form indexes entry (i, j) at j*d + i; the row-major one at i*d + j
-        dense = np.array([par.alpha(k).dense for k in levels]).reshape((-1,) + (d,) * 4)
-        by_closer = np.einsum("kliyx,q...lj->kq...ijxy", dense, coeffs)
-        alpha_b[c] = list(by_closer.reshape((len(levels), n + 1, *batch, d * d, d * d)))
+        lam_b[c] = [list(par.lam(k) @ coeffs) for k in range(1, min((n + 1) // 2, len(par.head_lambda) + 1) + 1)]
+        # the dense form indexes entry (i, j) at j*d + i; the row-major one at i*d + j
+        alpha_b[c] = [np.einsum("liyx,q...lj->q...ijxy", par.alpha(k).dense.reshape(d, d, d, d), coeffs).reshape(shape)
+                      for k in range(1, min(n // 2, len(par.head_alpha) + 1) + 1)]
         for table in (lam_b[c], alpha_b[c]):
-            table += table[-1:] * (n - len(levels))
+            table += table[-1:] * (n - len(table))
     return lam_b, alpha_b, (lambda x: x.reshape(*batch, -1, 1)) if batch else np.ndarray.ravel
 
 
@@ -148,9 +149,10 @@ def _checked_coeffs(algebra: Algebra, coeffs: Sequence[np.ndarray]) -> np.ndarra
     if len(coeffs) == 0:
         raise ValueError("a word needs at least one coefficient")
     coeffs = [np.asarray(c, dtype=complex) for c in coeffs]
-    if any(c.shape[-2:] != (algebra.dim,) * 2 for c in coeffs):  # broadcasting may stretch batch axes only
+    shapes = {c.shape for c in coeffs}
+    if any(s[-2:] != (algebra.dim,) * 2 for s in shapes):  # broadcasting may stretch batch axes only
         raise ValueError("coefficients must live in the algebra")
-    stack = np.stack(np.broadcast_arrays(*coeffs))
+    stack = np.array(coeffs if len(shapes) == 1 else np.broadcast_arrays(*coeffs))
     if not algebra.contains(stack, stacked=True):
         raise ValueError("coefficients must live in the algebra")
     return stack
@@ -161,7 +163,12 @@ def _checked_word(coeffs, colors, params) -> tuple[int, np.ndarray]:
     n = len(coeffs) - 1
     check_degree(n)
     coeffs = _checked_coeffs(next(iter(params.values())).algebra, coeffs)
-    if len(colors) != n or any(len(set(cs)) < len(cs) or not set(cs) <= params.keys() for cs in colors):
+    try:  # each distinct set once; a colour that cannot be hashed (a list, say) is no colour of params
+        bad = len(colors) != n or any(len(set(cs)) < len(cs) or not set(cs) <= params.keys()
+                                      for cs in set(map(tuple, colors)))
+    except TypeError:
+        bad = True
+    if bad:
         raise ValueError(f"a degree-{n} word takes {n} sets of distinct colours of {sorted(params)}, got {colors!r}")
     return n, coeffs
 
@@ -184,8 +191,8 @@ def nc_sum(
     nothing and the sum runs over pairings only.
     """
     n, coeffs = _checked_word(coeffs, colors, params)
-    pairs_only = not any(np.any(lam) for par in params.values() for lam in (*par.head_lambda, par.tail_lambda)[:n])
-    zero = np.zeros_like(coeffs[0])
+    pairs_only = not any(np.count_nonzero(lam) for p in params.values() for lam in (*p.head_lambda, p.tail_lambda)[:n])
+    zero = np.zeros(coeffs.shape[1:], dtype=complex)
     if pairs_only and n % 2:  # no pairing covers an odd number of positions
         return zero
     lam_b, alpha_b, flat = _tables(coeffs, params)
@@ -195,7 +202,7 @@ def nc_sum(
         return (alpha_b[c][k - 1][q] @ flat(x)).reshape(x.shape)
 
     one = np.eye(coeffs[0].shape[-1], dtype=complex)
-    bound = dict.fromkeys(params, n + 1)  # no depth reaches n + 1; the tables repeat the head+1 entry past the head
+    bound = dict.fromkeys(params, n + 1)  # no depth reaches n + 1; the tables repeat their last entry to depth n
     return coeffs[0] @ _first_return(n, colors, pairs_only, bound, lam_b, close, operator.matmul, one, zero)
 
 

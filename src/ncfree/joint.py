@@ -10,9 +10,9 @@ moment level, the degree-4 Jacobi-consistency test, and the closed-form
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from itertools import combinations, groupby
-from math import comb
 from typing import Sequence
 
 import numpy as np
@@ -297,12 +297,17 @@ def two_by_two_model_check(lam: float, gam: float, terms: int = 40) -> dict:
         pw = np.concatenate((pw, pw @ (pw[-1] @ step)))
     series = binv @ (pw[:terms] * np.eye(2))
     g_series = series.sum(axis=0)
-    g_conv_series = np.tensordot([float(comb(2 * n, n)) for n in range(terms)], series, axes=1)
+    central, c = [], 1  # C(2n, n) by the exact step C(2n + 2, n + 1) = C(2n, n) (2n + 1)(2n + 2) / (n + 1)^2
+    for n in range(terms):
+        central.append(float(c))
+        c = c * (4 * n + 2) // (n + 1)
+    g_conv_series = np.tensordot(central, series, axes=1)
     g_closed = np.diag([1 / (lam - 1 / gam), 1 / (gam - 1 / lam)]).astype(complex)
 
     # F_{mu boxplus mu} closed form, principal branch with the asymptotic sign
     def branch_sqrt(val, ref):
-        s = np.emath.sqrt(val)
+        s = cmath.sqrt(val)
+        s = s.real if s.imag == 0 else s  # a real root stays real, as with np.emath.sqrt, so -s keeps a +0j
         return s if abs(s - ref) <= abs(s + ref) else -s
 
     def f_conv(l, g):
@@ -314,7 +319,7 @@ def two_by_two_model_check(lam: float, gam: float, terms: int = 40) -> dict:
     # Subordination cross-check: F_mu(w) = diag(x - 1/y, y - 1/x) for w = diag(x, y), so F_mu^{-1}(b) is
     # b s with s^2 - s = 1/(lam gam), the root that tends to b; real since |lam gam| > 4.
     # Additivity of F^{-1} - id gives F^{-1}_{conv}(b) = 2 F^{-1}_mu(b) - b.
-    f_inv_mu = big * (1 + np.sqrt(1 + 4 / prod_lg)) / 2
+    f_inv_mu = big * (1 + cmath.sqrt(1 + 4 / prod_lg)) / 2
     f_inv_conv = 2 * f_inv_mu - big
     # evaluate the closed-form F_{mu boxplus mu} at that point: should return b
     f_at_inv = f_conv(*np.diag(f_inv_conv))

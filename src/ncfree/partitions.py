@@ -126,13 +126,15 @@ def _colored_nc12(
     yield from walk(1, (n + 1, None, 0, None))
 
 
-def _first_return(n, colors, pairs_only, bound, single, close, mul, one, zero):
+def _first_return(n, colors, pairs_only, bound, single, close, mul, one, zero, cap=None):
     """Sum over the colored NC_{1,2}(n) partitions (NC_2(n) if pairs_only) of their block factors' product, by
     first-return recursion (Flajolet, Discrete Math. 32, 1980), for jacobi.nc_sum and _count_colored_nc12.  A block
     takes a color c allowed at both ends (colors[i-1] at position i), a pair only below depth bound[c].  At depth k
-    a singleton {i} adds single[c][k-1][i], and a pair (i, q) close(c, k, i, q, the sum inside it or None)."""
+    a singleton {i} adds single[c][k-1][i], and a pair (i, q) close(c, k, i, q, the sum inside it or None).
+    With `cap`, a depth per color past which the factors no longer depend on depth, each sum inside a pair of
+    color e at depth r is memoised on (i, j, e, min(r, cap[e])), and the sum takes polynomial time."""
 
-    def inside(i: int, j: int, e: Optional[str], r: int):  # i..j nested in a pair of color e at depth r
+    def walk(i: int, j: int, e: Optional[str], r: int):  # i..j nested in a pair of color e at depth r
         if i > j:
             return one
         total = zero
@@ -148,8 +150,20 @@ def _first_return(n, colors, pairs_only, bound, single, close, mul, one, zero):
                         total = total + (x if q == j else mul(x, inside(q + 1, j, e, r)))
         return total
 
+    if cap is None:  # chosen once per call, so nc_sum's plain recursion pays nothing for the memo
+        inside = walk
+    else:
+        memo = {}
+
+        def inside(i: int, j: int, e: Optional[str], r: int):  # the root's color None is at depth 0
+            key = (i, j, e, r if e is None else min(r, cap[e]))
+            out = memo.get(key)
+            if out is None:
+                out = memo[key] = walk(i, j, e, r)
+            return out
+
     out = inside(1, n, None, 0)
-    del inside  # it refers to itself through its closure: a cycle that would hold its inputs until a gc pass
+    del inside  # it refers to itself through walk's closure: a cycle that would hold its inputs (and the memo)
     return out
 
 
@@ -161,8 +175,11 @@ def _count_colored_nc12(
     if not _nonempty(n, pairs_only, k, l):
         return 0
     ones = dict.fromkeys((BLUE, RED), [[1] * (n + 1)] * n)  # a singleton counts 1 at every depth and position
-    return _first_return(n, colors, pairs_only, {BLUE: k, RED: l}, ones,
-                         lambda c, depth, i, q, inside: 1 if inside is None else inside, operator.mul, 1, 0)
+    bound = {BLUE: k, RED: l}
+    # past depth bound - 1 no pair of that color opens, and an unbounded color's count never depends on depth
+    cap = {c: min(b - 1, n) if b < math.inf else 0 for c, b in bound.items()}
+    return _first_return(n, colors, pairs_only, bound, ones,
+                         lambda c, depth, i, q, inside: 1 if inside is None else inside, operator.mul, 1, 0, cap)
 
 
 def enumerate_nc12(n: int, pairs_only: bool = False, k: float = math.inf) -> Iterator[Partition12]:

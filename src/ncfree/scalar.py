@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, cos, pi
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -140,7 +141,7 @@ def chebyshev_ratio_moments(k: int, degree: int) -> list[Fraction]:
 
 
 def _conv(a: Sequence, b: Sequence, degree: int) -> list:
-    return [sum(a[j] * b[n - j] for j in range(n + 1)) for n in range(degree + 1)]
+    return [sum(map(mul, a[: n + 1], b[n::-1])) for n in range(degree + 1)]  # a_j b_{n-j}, j = 0..n
 
 
 def _power_coefficients(m: Sequence, n_max: int):
@@ -151,7 +152,7 @@ def _power_coefficients(m: Sequence, n_max: int):
     for n in range(1, n_max + 1):
         powers.append([])
         for s in range(1, n + 1):
-            powers[s].append(sum(powers[s - 1][j] * m[n - s - j] for j in range(n - s + 1)))
+            powers[s].append(sum(map(mul, powers[s - 1][: n - s + 1], m[n - s :: -1])))
         yield [powers[s][n - s] for s in range(1, n + 1)]
 
 

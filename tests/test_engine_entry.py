@@ -491,12 +491,13 @@ def test_free_product_fock_oracle_caps_its_deepest_level():
 @pytest.mark.parametrize("engine", [nc_sum, jacobi._fock], ids=["nc_sum", "_fock"])
 @pytest.mark.parametrize(
     "colors",
-    [[(BLUE, BLUE)] * 2, [(BLUE,), (RED,)], [(BLUE,)] * 3, [(BLUE,)]],
-    ids=["repeated colour", "colour without parameters", "a set too many", "a set too few"],
+    [[(BLUE, BLUE)] * 2, [(BLUE,), (RED,)], [(BLUE,)] * 3, [(BLUE,)], [[[BLUE]], [[BLUE]]]],
+    ids=["repeated colour", "colour without parameters", "a set too many", "a set too few", "unhashable colour"],
 )
 def test_engines_refuse_colour_sets_that_do_not_fit_the_word(engine, colors):
     # a repeated colour was summed twice (2 by nc_sum and 4 by _fock, where the moment is 1), a colour without
-    # parameters was a bare KeyError, and a set per position is what a degree-2 word reads
+    # parameters was a bare KeyError, a set per position is what a degree-2 word reads, and an unhashable
+    # colour (a list) was a bare TypeError from the set built of it
     semi = semicircular(Algebra("full", 1), LinMap.identity(Algebra("full", 1)))
     with pytest.raises(ValueError, match="a degree-2 word takes 2 sets of distinct colours of \\['b'\\]"):
         engine([np.eye(1)] * 3, colors, {BLUE: semi})

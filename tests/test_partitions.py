@@ -1,4 +1,5 @@
 import math
+import operator
 from collections import Counter
 from itertools import product
 
@@ -15,11 +16,13 @@ from ncfree.partitions import (
     Partition12,
     _colored_nc12,
     _count_colored_nc12,
+    _first_return,
     count_family,
     enumerate_nc12,
     enumerate_tcnc,
     relative_depths,
 )
+from ncfree.scalar import free_convolve_scalar, nu_moments, tcnc_recursion
 from reference import block_depths, tcnc_depth_ok
 
 MOTZKIN = [1, 1, 2, 4, 9, 21, 51, 127, 323, 835]
@@ -272,6 +275,20 @@ def test_counting_walk_matches_the_generator(family, monkeypatch):
     if bounded:
         with pytest.raises(ValueError, match="needs the depth bound"):
             count_family(family, 40)
+
+
+@pytest.mark.parametrize("k, l", [(2, 2), (3, 5), (4, 4), (6, 3)])
+def test_first_return_counts_past_the_degree_cap(k, l):
+    # _first_return checks no degree: with the counter's factors and depth cap it counts TCNC_2^{k,l}(40), where
+    # count_family stops at the cap, in polynomial time; the two routes that never build a partition must agree
+    n = 40
+    ones = dict.fromkeys((BLUE, RED), [[1] * (n + 1)] * n)
+    cap = {BLUE: min(k - 1, n), RED: min(l - 1, n)}
+    counted = _first_return(n, [(BLUE, RED)] * n, True, {BLUE: k, RED: l}, ones,
+                            lambda c, depth, i, q, inside: 1 if inside is None else inside, operator.mul, 1, 0, cap)
+    assert counted == int(free_convolve_scalar(nu_moments(k, n), nu_moments(l, n), n)[n])
+    if k == l:
+        assert counted == tcnc_recursion(k, n // 2)[-1]
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncfree.algebra import Algebra, LinMap, flip_map, is_self_adjoint
+from ncfree.algebra import TOL, Algebra, LinMap, flip_map, is_self_adjoint, negligible
 from ncfree.jacobi import (
     JacobiParams,
     bernoulli,
@@ -57,6 +57,54 @@ def rescaled(p, s):
 
 def is_jacobi_sum(p1, p2):
     return verify_jacobi_consistency(free_convolve_moments(JointModel(p1, p2), 4))["consistent"]
+
+
+# -- the rule itself ------------------------------------------------------------
+
+
+def test_negligible_is_relative_to_the_largest_scale_entry():
+    a = np.array([[1e6, 0], [0, 2.0]])
+    assert negligible(0.5 * TOL * 1e6, a) and not negligible(2 * TOL * 1e6, a)
+    assert negligible(np.full((2, 2), 1e-3), a, 1.0)  # the largest entry of all the scales sets the bound
+    assert not negligible(1e-3, 1.0, 2.0)
+    assert negligible(1e-30 * (1 + 1j), 1e-20j) and not negligible(1e-27, 1e-20j)
+
+
+def test_negligible_is_false_with_a_nan_anywhere():
+    nan_x = np.array([0.0, np.nan])
+    assert not negligible(nan_x, 1.0)
+    assert not negligible(np.nan, 1.0)
+    assert not negligible(0.0, np.array([1.0, np.nan]))
+    assert not negligible(0.0, 1.0, np.nan) and not negligible(0.0, np.nan, 1.0)
+    assert not negligible(np.array([[0.0, 1.0], [0.0, np.nan]]), np.ones((2, 2)), axis=-1)
+
+
+def test_negligible_against_a_zero_scale_admits_only_zero():
+    assert negligible(0.0, 0.0) and negligible(np.zeros((2, 2)), np.zeros((2, 2)))
+    assert not negligible(1e-300, 0.0) and not negligible(np.full((2, 2), 5e-324), np.zeros((2, 2)))
+    assert negligible(0.0) and not negligible(1e-300)  # no scale at all is a zero scale
+    assert negligible(np.zeros(0), np.zeros(0)) and negligible([], 0.0)  # empty operands reduce to 0
+
+
+def test_negligible_judges_each_slice_on_its_own_with_axis():
+    big, small = np.full((2, 2), 1e6), np.full((2, 2), 1e-6)
+    scale, x = np.stack([big, small]), np.full((2, 2, 2), 1e-3)
+    assert negligible(x, scale)  # the whole stack: 1e-3 <= TOL * 1e6
+    assert not negligible(x, scale, axis=(-2, -1))  # the second slice against its own 1e-6
+    assert negligible(x[:1], scale[:1], axis=(-2, -1))
+    assert negligible(np.array([[1e-3, 0.0], [0.0, 1e-15]]), np.array([[1e6, 1.0], [1e6, 1.0]]), axis=0)
+    assert not negligible(np.array([[1e-3, 1e-3], [0.0, 1e-15]]), np.array([[1e6, 1.0], [1e6, 1.0]]), axis=0)
+    rows = np.array([[1e6, 0.0], [1.0, 0.0]])
+    assert negligible([[1e-3, 0.0], [1e-9, 0.0]], rows, axis=-1)
+    assert not negligible([[1e-3, 0.0], [1e-7, 0.0]], rows, axis=-1)
+
+
+def test_negligible_takes_lists_and_python_numbers():
+    assert negligible([1e-9, -1e-9j], [1.0, 2.0]) and not negligible([1e-3, 0.0], [1.0, 2.0])
+    assert negligible([[0.0, 1e-9], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]], axis=(-2, -1))
+    assert negligible(1e-10, 1, 2.0) and not negligible(1e-7, 1, 2.0)
+    assert negligible(1e-9j, 1.0 + 0j) and negligible(0, 0)
+    assert type(negligible(0.0, 1.0)) is bool and type(negligible(np.zeros((2, 2)), np.ones((2, 2)), axis=-1)) is bool
 
 
 # -- one regression per unit-dependent verdict ---------------------------------
