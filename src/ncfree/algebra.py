@@ -76,8 +76,8 @@ def unit_matrix(d: int, i: int, j: int) -> np.ndarray:
 
 
 def is_self_adjoint(mat: np.ndarray) -> bool:
-    """Whether `mat` is self-adjoint, or each matrix of a stack (..., k, k) is, each judged against itself."""
-    return negligible(mat - mat.conj().swapaxes(-1, -2), mat, axis=(-2, -1))
+    """Whether `mat` is a self-adjoint matrix, or each matrix of a stack (..., k, k) is, each judged against itself."""
+    return mat.ndim >= 2 and negligible(mat - mat.conj().swapaxes(-1, -2), mat, axis=(-2, -1))
 
 
 def _is_psd(mat: np.ndarray) -> bool:

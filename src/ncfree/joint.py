@@ -297,7 +297,8 @@ def two_by_two_model_check(lam: float, gam: float, terms: int = 40) -> dict:
         pw = np.concatenate((pw, pw @ (pw[-1] @ step)))
     series = binv @ (pw[:terms] * np.eye(2))
     g_series = series.sum(axis=0)
-    central, c = [], 1  # C(2n, n) by the exact step C(2n + 2, n + 1) = C(2n, n) (2n + 1)(2n + 2) / (n + 1)^2
+    # C(2n, n) by the exact step C(2n + 2, n + 1) = C(2n, n) (2n + 1)(2n + 2) / (n + 1)^2 = C(2n, n) (4n + 2) / (n + 1)
+    central, c = [], 1
     for n in range(terms):
         central.append(float(c))
         c = c * (4 * n + 2) // (n + 1)

@@ -1,6 +1,7 @@
 """The one tolerance rule: verdicts depend on the inputs, not on their units."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -148,6 +149,22 @@ def test_levels_past_twelve_are_compared():
     off = JacobiParams(alg, tuple(lams), alphas, lam, eta + alpha)
     assert not off.isclose(law) and not law.isclose(off)
     assert meixner_recognize(off) is None
+
+
+def test_positive_parameters_are_judged_one_by_one():
+    # the lambdas and the alphas' Choi matrices are tested as one stack each: a small offender beside a large
+    # valid entry must still be refused, so each entry is judged against its own scale, not the stack's
+    alg = Algebra("full", 2)
+    rng = np.random.default_rng(3)
+    big_lam, big_alpha = 1e6 * rand_element(rng, alg), rand_kraus(rng, alg, 1e3)
+    small_lam = 1e-6 * (rand_element(rng, alg) + 1j * np.eye(2))
+    small_alpha = linmap_from_action(alg, lambda b: 1e-6 * b.T)
+    assert JacobiParams(alg, (big_lam, 1e-6 * rand_element(rng, alg)), (big_alpha,), big_lam, big_alpha, True)
+    with pytest.raises(ValueError, match="self-adjoint lambdas"):
+        JacobiParams(alg, (big_lam, small_lam), (big_alpha,), big_lam, big_alpha, positive=True)
+    with pytest.raises(ValueError, match="completely positive alphas"):
+        JacobiParams(alg, (big_lam,), (big_alpha, small_alpha), big_lam, big_alpha, positive=True)
+    assert is_self_adjoint(np.stack([big_lam, big_lam])) and not is_self_adjoint(np.stack([big_lam, small_lam]))
 
 
 def test_diagonal_membership_is_relative():
