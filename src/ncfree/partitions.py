@@ -153,10 +153,10 @@ def _first_return(n, colors, pairs_only, bound, single, close, mul, one, zero, c
     if cap is None:  # chosen once per call, so nc_sum's plain recursion pays nothing for the memo
         inside = walk
     else:
-        memo = {}
+        memo, cap = {}, {None: 0, **cap}  # the root's color None is at depth 0
 
-        def inside(i: int, j: int, e: Optional[str], r: int):  # the root's color None is at depth 0
-            key = (i, j, e, r if e is None else min(r, cap[e]))
+        def inside(i: int, j: int, e: Optional[str], r: int):
+            key = (i, j, e, r if r < cap[e] else cap[e])
             out = memo.get(key)
             if out is None:
                 out = memo[key] = walk(i, j, e, r)
