@@ -297,8 +297,7 @@ def _fock(
             f" each of {C}^{m} labellings of its levels; the Fock oracle is capped at {FOCK_ENTRY_CAP}"
         )
     eye, unit = np.eye(d), vec(np.eye(d, dtype=complex))  # a complex unit: np.outer casts nothing
-    # vec(b x) = (I (x) b) vec(x) on the innermost factor; alpha_k sends (x0, x1, rest) to (alpha_k[x0] x1, rest)
-    lam = {c: [np.kron(eye, p.lam(k)) for k in range(1, m + 2)] for c, p in params.items()}
+    # b x on the innermost x: b times each column in vec(x); alpha_k sends (x0, x1, rest) to (alpha_k[x0] x1, rest)
     ann = {c: [np.einsum("cC,rpi->cpiCr", eye, p.alpha(k).dense.reshape(d, d, -1)).reshape(d * d, -1)
                for k in range(1, m + 1)] for c, p in params.items()}
 
@@ -309,15 +308,15 @@ def _fock(
 
     state = {(): unit[:, None]}  # labels -> component as a (d^2, rest) array, before b_i of its step acts
     for i in range(n, 0, -1):
-        new, lop = {}, np.kron(eye, coeffs[i])
+        new = {}
         for key in sorted(state, key=len, reverse=True):  # the deepest first, each dropped once its images are formed
-            v = lop @ state.pop(key)
+            v = (coeffs[i] @ state.pop(key).reshape(d, d, -1)).reshape(d * d, -1)
             for c in colors[i - 1]:
                 k = key[-1][1] if key and key[-1][0] == c else 0
                 if len(key) + 2 <= i:  # a degree above i - 1 can never return to degree 0
                     put(key + ((c, k + 1),), np.outer(unit, v))
                 if len(key) < i:
-                    put(key, lam[c][k] @ v)
+                    put(key, (params[c].lam(k + 1) @ v.reshape(d, d, -1)).reshape(d * d, -1))
                 if k:
                     put(key[:-1], ann[c][k - 1] @ v.reshape(d**4, -1))
             del v  # before the next component's product is formed
@@ -404,14 +403,14 @@ def _checked_point(algebra: Algebra, b: np.ndarray) -> np.ndarray:
 
 def _cf_at(params: JacobiParams, k: int, u: np.ndarray) -> np.ndarray:
     """The depth-k continued fraction at u in M_m(B), an (m d, m d) array: from s = 1, level i = k..1 sets
-    s = (1 - lambda_i u - alpha_i(u s) u)^-1, lambda_i acting as 1 (x) lambda_i and alpha_i block by block.  u is
+    s = (1 - lambda_i u - alpha_i(u s) u)^-1, lambda_i acting on each block row and alpha_i block by block.  u is
     block upper triangular, so a level is singular iff a diagonal block is, which raises SingularResolventError."""
     d = params.algebra.dim
     m = len(u) // d
     one = s = np.eye(m * d, dtype=complex)
     for i in range(k, 0, -1):
         x = params.alpha(i)((u @ s).reshape(m, d, m, d).swapaxes(1, 2))  # on the (m, m, d, d) stack of blocks
-        a = one - np.kron(np.eye(m), params.lam(i)) @ u - x.swapaxes(1, 2).reshape(m * d, -1) @ u
+        a = one - (params.lam(i) @ u.reshape(m, d, -1)).reshape(m * d, -1) - x.swapaxes(1, 2).reshape(m * d, -1) @ u
         if np.linalg.cond(np.einsum("iaib->iab", a.reshape(m, d, m, d))).max() * np.finfo(float).eps >= 1:
             raise SingularResolventError(i)
         s = np.linalg.inv(a)

@@ -17,8 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import (Algebra, LinMap, algebra_from_json, algebra_to_json, element_from_json, element_to_json,
-                      json_loader, negligible, vec)
+from .algebra import Algebra, LinMap, element_to_json, json_loader, negligible, vec
 from .jacobi import (  # MomentTable and params_moment_table live in jacobi and are re-exported here
     DegreeCapError,
     JacobiParams,
@@ -28,6 +27,8 @@ from .jacobi import (  # MomentTable and params_moment_table live in jacobi and 
     moment,
     nc_sum,
     params_moment_table,
+    word_from_json,
+    word_to_json,
 )
 from .partitions import BLUE, RED, ColoredPartition, relative_depths
 
@@ -287,15 +288,12 @@ def two_by_two_model_check(lam: float, gam: float, terms: int = 40) -> dict:
         raise ValueError("series requires |1/(lambda*gamma)| < 1/4")
 
     a = np.array([[0, 1], [1, 0]], dtype=complex)
-    big = np.diag([lam, gam]).astype(complex)
-    binv = np.linalg.inv(big)
+    big = np.array([lam, gam], dtype=complex)  # b, and below every element of D_2, as its two diagonal entries
+    binv = 1 / big
 
     # G_mu from the matrix model, G_{mu boxplus mu} from the central-binomial series
-    step = a @ binv @ a @ binv  # advances two moment degrees
-    pw = np.eye(2, dtype=complex)[None]
-    while len(pw) < terms:  # doubling: pw[m] = step^m
-        pw = np.concatenate((pw, pw @ (pw[-1] @ step)))
-    series = binv @ (pw[:terms] * np.eye(2))
+    step = np.diag((a * binv) @ (a * binv))  # (a b^-1)^2, diagonal: it advances two moment degrees
+    series = binv * step ** np.arange(terms)[:, None]  # term n: b^-1 (a b^-1)^(2n)
     g_series = series.sum(axis=0)
     # C(2n, n) by the exact step C(2n + 2, n + 1) = C(2n, n) (2n + 1)(2n + 2) / (n + 1)^2 = C(2n, n) (4n + 2) / (n + 1)
     central, c = [], 1
@@ -303,7 +301,7 @@ def two_by_two_model_check(lam: float, gam: float, terms: int = 40) -> dict:
         central.append(float(c))
         c = c * (4 * n + 2) // (n + 1)
     g_conv_series = np.tensordot(central, series, axes=1)
-    g_closed = np.diag([1 / (lam - 1 / gam), 1 / (gam - 1 / lam)]).astype(complex)
+    g_closed = 1 / (big - binv[::-1])  # (1 / (lam - 1/gam), 1 / (gam - 1/lam))
 
     # F_{mu boxplus mu} closed form, principal branch with the asymptotic sign
     def branch_sqrt(val, ref):
@@ -312,10 +310,10 @@ def two_by_two_model_check(lam: float, gam: float, terms: int = 40) -> dict:
         return s if abs(s - ref) <= abs(s + ref) else -s
 
     def f_conv(l, g):
-        return np.diag([branch_sqrt(l**2 - 4 * l / g, l), branch_sqrt(g**2 - 4 * g / l, g)]).astype(complex)
+        return np.array([branch_sqrt(l**2 - 4 * l / g, l), branch_sqrt(g**2 - 4 * g / l, g)], dtype=complex)
 
     f_conv_closed = f_conv(lam, gam)
-    g_conv_closed = np.linalg.inv(f_conv_closed)
+    g_conv_closed = 1 / f_conv_closed
 
     # Subordination cross-check: F_mu(w) = diag(x - 1/y, y - 1/x) for w = diag(x, y), so F_mu^{-1}(b) is
     # b s with s^2 - s = 1/(lam gam), the root that tends to b; real since |lam gam| > 4.
@@ -323,20 +321,20 @@ def two_by_two_model_check(lam: float, gam: float, terms: int = 40) -> dict:
     f_inv_mu = big * (1 + cmath.sqrt(1 + 4 / prod_lg)) / 2
     f_inv_conv = 2 * f_inv_mu - big
     # evaluate the closed-form F_{mu boxplus mu} at that point: should return b
-    f_at_inv = f_conv(*np.diag(f_inv_conv))
+    f_at_inv = f_conv(*f_inv_conv)
     subordination_residual = float(np.max(np.abs(f_at_inv - big)))
 
     return {
         "lambda": lam,
         "gamma": gam,
         "terms": terms,
-        "g_mu_closed": g_closed,
-        "g_mu_series": g_series,
+        "g_mu_closed": np.diag(g_closed),
+        "g_mu_series": np.diag(g_series),
         "g_mu_diff": float(np.max(np.abs(g_series - g_closed))),
-        "f_conv_closed": f_conv_closed,
-        "f_mu_inverse": f_inv_mu,
-        "g_conv_closed": g_conv_closed,
-        "g_conv_series": g_conv_series,
+        "f_conv_closed": np.diag(f_conv_closed),
+        "f_mu_inverse": np.diag(f_inv_mu),
+        "g_conv_closed": np.diag(g_conv_closed),
+        "g_conv_series": np.diag(g_conv_series),
         "g_conv_diff": float(np.max(np.abs(g_conv_series - g_conv_closed))),
         "subordination_residual": subordination_residual,
     }
@@ -348,16 +346,12 @@ def two_by_two_model_check(lam: float, gam: float, terms: int = 40) -> dict:
 
 
 def colored_word_to_json(w: ColoredWord) -> dict:
-    return {
-        "algebra": algebra_to_json(w.algebra),
-        "coeffs": [element_to_json(w.algebra, c) for c in w.coeffs],
-        "colors": [1 if c == BLUE else 2 for c in w.colors],
-    }
+    return {**word_to_json(w.algebra, w.coeffs), "colors": [1 if c == BLUE else 2 for c in w.colors]}
 
 
 @json_loader
 def colored_word_from_json(obj) -> ColoredWord:
-    alg = algebra_from_json(obj["algebra"])
+    alg, coeffs = word_from_json(obj)
     if not isinstance(obj["colors"], list):  # a string or an object would be read key by key
         raise ValueError(f"colors must be a JSON list, got {obj['colors']!r}")
     key = {1: BLUE, 2: RED, BLUE: BLUE, RED: RED}
@@ -365,9 +359,4 @@ def colored_word_from_json(obj) -> ColoredWord:
     bad = [c for c in obj["colors"] if type(c) not in (int, str) or c not in key]
     if bad:
         raise ValueError(f"colors must be 1 (blue) or 2 (red), got {bad[0]!r}")
-    colors = [key[c] for c in obj["colors"]]
-    return colored_word(
-        alg,
-        [element_from_json(alg, e) for e in obj["coeffs"]],
-        colors,
-    )
+    return colored_word(alg, coeffs, [key[c] for c in obj["colors"]])

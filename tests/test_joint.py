@@ -507,7 +507,11 @@ def test_two_by_two_f_mu_inverse_maps_back_to_b(lam, gam):
 
 
 @pytest.mark.parametrize(
-    "lam, gam, terms", [(3.0, 2.0, 0), (3.0, 2.0, 1), (3.0, 2.0, 80), (-2.5, 4.0, 33), (5.0, -1.0, 89)]
+    "lam, gam, terms",
+    [(3.0, 2.0, 0), (3.0, 2.0, 1), (3.0, 2.0, 80), (-2.5, 4.0, 33), (5.0, -1.0, 89)]
+    # the sample points of `verify --suite two_by_two`, and two just past |lam gam| = 4 with lam gam < 0
+    + [(lam, gam, 80) for lam, gam in [(3.0, 3.0), (3.0, 2.7), (4.0, 2.0), (5.0, 2.0), (-3.0, -3.0), (2.5, 4.0),
+                                       (4.0, 4.0), (10.0, 0.9), (-5.0, -2.0), (7.0, 3.0), (2.01, -2.0), (-2.01, 2.0)]],
 )
 def test_two_by_two_series_match_term_by_term_loop(lam, gam, terms):
     rep = two_by_two_model_check(lam, gam, terms=terms)
