@@ -62,9 +62,9 @@ class Algebra:
         units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
         return units[:: d + 1] if self.kind == "diagonal" else units
 
-    def contains(self, mat: np.ndarray, stacked: bool = False) -> bool:
-        """Whether `mat` lies in the algebra; with `stacked`, whether each matrix of a stack (..., d, d) does."""
-        if mat.shape[-2:] != (self.dim, self.dim) or (mat.ndim > 2 and not stacked):
+    def contains(self, mat: np.ndarray) -> bool:
+        """Whether `mat` lies in the algebra, or each matrix of a stack (..., d, d) does, each judged against itself."""
+        if mat.shape[-2:] != (self.dim, self.dim):
             return False
         return self.kind == "full" or negligible(np.where(np.eye(self.dim, dtype=bool), 0, mat), mat, axis=(-2, -1))
 

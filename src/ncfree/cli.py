@@ -170,8 +170,6 @@ def cmd_joint(args) -> int:
 def cmd_convolve(args) -> int:
     p1 = params_from_json(_load_json(args.p1))
     p2 = params_from_json(_load_json(args.p2))
-    if p1.algebra != p2.algebra:
-        raise ValueError("parameter sets use different algebras")
     table = free_convolve_moments(JointModel(p1, p2), args.degree)
     seq = table.sequence(p1.algebra.unit())
     _emit(

@@ -50,14 +50,18 @@ class JacobiParams:
     def __post_init__(self):
         if type(self.positive) is not bool:  # a string such as "false" would read as true
             raise ValueError(f"positive must be true or false, got {self.positive!r}")
-        object.__setattr__(self, "head_lambda", tuple(self.head_lambda))  # the transforms extend the heads as tuples
-        object.__setattr__(self, "head_alpha", tuple(self.head_alpha))
+        object.__setattr__(self, "head_alpha", tuple(self.head_alpha))  # the transforms extend the heads as tuples
         alg = self.algebra
         lams = [np.asarray(lam) for lam in (*self.head_lambda, self.tail_lambda)]
         # the lambdas, and in the positive case the alphas' Choi matrices, are tested as one stack each, every
-        # matrix judged against itself
-        if any(lam.shape != (alg.dim,) * 2 for lam in lams) or not alg.contains(np.array(lams), stacked=True):
+        # matrix judged against itself; the lambdas, each of dtype bool, int, float or complex, are then kept as the
+        # complex arrays every engine reads
+        numeric = all(lam.shape == (alg.dim,) * 2 and lam.dtype.kind in "biufc" for lam in lams)
+        if not (numeric and alg.contains(np.array(lams))):
             raise ValueError("lambda entries must live in the algebra")
+        lams = [lam.astype(complex, copy=False) for lam in lams]
+        object.__setattr__(self, "head_lambda", tuple(lams[:-1]))
+        object.__setattr__(self, "tail_lambda", lams[-1])
         for a in (*self.head_alpha, self.tail_alpha):
             if a.algebra != alg:
                 raise ValueError("alpha maps must act on the same algebra")
@@ -153,9 +157,19 @@ def _checked_coeffs(algebra: Algebra, coeffs: Sequence[np.ndarray]) -> np.ndarra
     if any(s[-2:] != (algebra.dim,) * 2 for s in shapes):  # broadcasting may stretch batch axes only
         raise ValueError("coefficients must live in the algebra")
     stack = np.array(coeffs if len(shapes) == 1 else np.broadcast_arrays(*coeffs))
-    if not algebra.contains(stack, stacked=True):
+    if not algebra.contains(stack):
         raise ValueError("coefficients must live in the algebra")
     return stack
+
+
+def _checked_element(algebra: Algebra, b: np.ndarray) -> np.ndarray:
+    """The one gate of a lone element b, which a transform, a named family or a continued fraction computes with
+    before any law holds it: one (d, d) matrix of the algebra, without a batch axis, as a complex array."""
+    b = np.asarray(b, dtype=complex)
+    if b.shape != (algebra.dim,) * 2 or not algebra.contains(b):
+        raise ValueError(f"an element must be one {algebra.dim} x {algebra.dim} matrix, without a batch axis, and"
+                         " live in the algebra")
+    return b
 
 
 def _checked_word(coeffs, colors, params) -> tuple[int, np.ndarray]:
@@ -349,8 +363,8 @@ def boolean_power(params: JacobiParams, eta: LinMap) -> JacobiParams:
 
 def shift_by_delta(params: JacobiParams, lam: np.ndarray) -> JacobiParams:
     """Free convolution with the point mass at lam: every lambda_i shifts."""
-    lam = np.asarray(lam, dtype=complex)
-    if params.positive and not is_self_adjoint(lam):
+    lam = _checked_element(params.algebra, lam)
+    if params.positive and not is_self_adjoint(lam):  # judged against the shift itself, not against lambda_i + lam
         raise ValueError("shift must be self-adjoint")
     return replace(
         params,
@@ -393,14 +407,6 @@ class SingularResolventError(ValueError):
         self.level = level
 
 
-def _checked_point(algebra: Algebra, b: np.ndarray) -> np.ndarray:
-    """The point b of a continued fraction: one element of the algebra, without a batch axis."""
-    b = _checked_coeffs(algebra, [b])[0]
-    if b.ndim > 2:
-        raise ValueError("a continued fraction takes one point b: it carries no batch axis")
-    return b
-
-
 def _cf_at(params: JacobiParams, k: int, u: np.ndarray) -> np.ndarray:
     """The depth-k continued fraction at u in M_m(B), an (m d, m d) array: from s = 1, level i = k..1 sets
     s = (1 - lambda_i u - alpha_i(u s) u)^-1, lambda_i acting on each block row and alpha_i block by block.  u is
@@ -421,7 +427,7 @@ def cf_approximant(params: JacobiParams, k: int, b: np.ndarray) -> np.ndarray:
     """Numeric value of the depth-k finite continued fraction at b: `_cf_at` with m = 1."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _cf_at(params, k, _checked_point(params.algebra, b))
+    return _cf_at(params, k, _checked_element(params.algebra, b))
 
 
 def cf_series(params: JacobiParams, k: int, b: np.ndarray, degree: int) -> list[np.ndarray]:
@@ -429,7 +435,7 @@ def cf_series(params: JacobiParams, k: int, b: np.ndarray, degree: int) -> list[
     S (x) b, S the (degree + 1)-square shift, where each degree-n term x is S^n (x) x and each level's diagonal is 1."""
     if k < 1 or degree < 0:
         raise ValueError("k >= 1 and degree >= 0 required")
-    b = _checked_point(params.algebra, b)
+    b = _checked_element(params.algebra, b)
     s = _cf_at(params, k, np.kron(np.eye(degree + 1, k=1), b))
     return list(s[: len(b)].reshape(len(b), degree + 1, -1).swapaxes(0, 1))
 
@@ -440,37 +446,23 @@ def cf_series(params: JacobiParams, k: int, b: np.ndarray, degree: int) -> list[
 
 
 def point_mass(algebra: Algebra, lam: np.ndarray) -> JacobiParams:
-    return JacobiParams(
-        algebra,
-        (np.asarray(lam, dtype=complex),),
-        (),
-        algebra.zero(),
-        LinMap.zero(algebra),
-        positive=is_self_adjoint(np.asarray(lam, dtype=complex)),
-    )
+    lam = _checked_element(algebra, lam)
+    return JacobiParams(algebra, (lam,), (), algebra.zero(), LinMap.zero(algebra), positive=is_self_adjoint(lam))
 
 
 def semicircular(algebra: Algebra, alpha: LinMap, mean: Optional[np.ndarray] = None) -> JacobiParams:
-    lam = algebra.zero() if mean is None else np.asarray(mean, dtype=complex)
-    return JacobiParams(algebra, (), (), lam, alpha)
+    return JacobiParams(algebra, (), (), algebra.zero() if mean is None else mean, alpha)
 
 
 def bernoulli(algebra: Algebra, lam1: np.ndarray, lam2: np.ndarray, alpha: LinMap) -> JacobiParams:
-    return JacobiParams(
-        algebra,
-        (np.asarray(lam1, dtype=complex), np.asarray(lam2, dtype=complex)),
-        (alpha,),
-        algebra.zero(),
-        LinMap.zero(algebra),
-    )
+    return JacobiParams(algebra, (lam1, lam2), (alpha,), algebra.zero(), LinMap.zero(algebra))
 
 
 def two_point(algebra: Algebra, t: float, a: np.ndarray, c: np.ndarray) -> JacobiParams:
     """The two-point law t*delta_a + (1-t)*delta_c."""
     if not 0 < t < 1:
         raise ValueError("two_point requires 0 < t < 1")
-    a = np.asarray(a, dtype=complex)
-    c = np.asarray(c, dtype=complex)
+    a, c = _checked_element(algebra, a), _checked_element(algebra, c)
     lam1 = t * a + (1 - t) * c
     lam2 = (1 - t) * a + t * c
     alpha = LinMap.from_kraus(algebra, [np.sqrt(t * (1 - t)) * (a - c)])
@@ -483,13 +475,7 @@ def free_poisson(
     alpha: LinMap,
     mean: Optional[np.ndarray] = None,
 ) -> JacobiParams:
-    centered = JacobiParams(
-        algebra,
-        (algebra.zero(),),
-        (alpha,),
-        np.asarray(lam, dtype=complex),
-        alpha,
-    )
+    centered = JacobiParams(algebra, (algebra.zero(),), (alpha,), lam, alpha)
     if mean is None:
         return centered
     return shift_by_delta(centered, mean)
@@ -497,13 +483,7 @@ def free_poisson(
 
 def meixner(algebra: Algebra, lam: np.ndarray, alpha: LinMap, eta: LinMap) -> JacobiParams:
     """fM(lam, alpha; eta) = J(0, lam, lam, ...; eta, eta+alpha, eta+alpha, ...)."""
-    return JacobiParams(
-        algebra,
-        (algebra.zero(),),
-        (eta,),
-        np.asarray(lam, dtype=complex),
-        eta + alpha,
-    )
+    return JacobiParams(algebra, (algebra.zero(),), (eta,), lam, eta + alpha)
 
 
 def arcsine(algebra: Algebra, alpha: LinMap) -> JacobiParams:
@@ -584,7 +564,7 @@ def free_binomial_word_moment(
     a = np.asarray(a, dtype=complex)
     if not negligible(expectation(a), a):
         raise ValueError("model requires E[a] = 0")
-    if not algebra.contains(a @ algebra.basis() @ a, stacked=True):
+    if not algebra.contains(a @ algebra.basis() @ a):
         raise ValueError("model requires a B a inside B")
     coeffs = _checked_coeffs(algebra, coeffs)
     n = len(coeffs) - 1

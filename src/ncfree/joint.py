@@ -62,12 +62,16 @@ class ColoredWord:
     colors: tuple[str, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "colors", tuple(self.colors))
         if len(self.coeffs) != len(self.colors) + 1:
             raise ValueError("need one more coefficient than symbols")
         if any(c not in (BLUE, RED) for c in self.colors):
             raise ValueError("colors must be 'b' or 'r'")
-        if not all(self.algebra.contains(np.asarray(c)) for c in self.coeffs):
+        coeffs = tuple(np.asarray(c, dtype=complex) for c in self.coeffs)
+        # each coefficient one (d, d) matrix, so no batch axis: the stack of them is tested at once
+        if any(c.shape != (self.algebra.dim,) * 2 for c in coeffs) or not self.algebra.contains(np.array(coeffs)):
             raise ValueError("coefficients must live in the algebra")
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def degree(self) -> int:
@@ -75,11 +79,7 @@ class ColoredWord:
 
 
 def colored_word(algebra: Algebra, coeffs: Sequence[np.ndarray], colors: Sequence[str]) -> ColoredWord:
-    return ColoredWord(
-        algebra,
-        tuple(np.asarray(c, dtype=complex) for c in coeffs),
-        tuple(colors),
-    )
+    return ColoredWord(algebra, coeffs, colors)
 
 
 def e_pi(model: JointModel, w: ColoredWord, p: ColoredPartition) -> np.ndarray:

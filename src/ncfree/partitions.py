@@ -76,10 +76,19 @@ class ColoredPartition:
         )
 
 
+def _check_ints(n, k=math.inf, l=math.inf) -> None:
+    """Refuse, by name, a size n or a depth bound k or l that is no int (a bool is none; math.inf bounds nothing).
+    Callers check before they build a list of n positions: a k of 2.5 would count as 3, and an n of 8.0 fail there."""
+    for name, v in (("n", n), ("k", k), ("l", l)):
+        if type(v) is not int and (name == "n" or v != math.inf):
+            raise ValueError(f"{name} must be an integer, got {v!r}")
+
+
 def _nonempty(n: int, pairs_only: bool, k: float, l: float) -> bool:
-    """Check the arguments of the colored NC_{1,2}(n) generator and counter, the
-    degree cap first, so every enumeration refuses more positions than the cap
+    """Check the arguments of the colored NC_{1,2}(n) generator and counter, their
+    types and the degree cap first, so every enumeration refuses more positions than the cap
     before it starts; False when the family is empty (pairings of an odd n)."""
+    _check_ints(n, k, l)
     check_degree(n)
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -185,6 +194,7 @@ def _count_colored_nc12(
 def enumerate_nc12(n: int, pairs_only: bool = False, k: float = math.inf) -> Iterator[Partition12]:
     """Yield NC_{1,2}(n) (or NC_2(n) if pairs_only) in canonical order; with k,
     only the partitions whose pair blocks all have depth < k (NC_{1,2}^k(n))."""
+    _check_ints(n, k)
     for blocks in _colored_nc12(n, [(BLUE,)] * n, pairs_only, k):
         yield Partition12(n, tuple(blk for blk, _, _ in blocks))
 
@@ -210,6 +220,7 @@ def enumerate_tcnc(
     """Yield TCNC_{1,2}(n) (or TCNC_2(n) if pairs_only); with k and l, only
     those whose blue pairs have relative depth < k and red pairs < l
     (TCNC_{1,2}^{k,l}(n))."""
+    _check_ints(n, k, l)
     for blocks in _colored_nc12(n, [(BLUE, RED)] * n, pairs_only, k, l):
         base = Partition12(n, tuple(blk for blk, _, _ in blocks))
         yield ColoredPartition(base, tuple(c for _, c, _ in blocks))
@@ -218,8 +229,8 @@ def enumerate_tcnc(
 def count_family(family: str, n: int, k: Optional[int] = None, l: Optional[int] = None) -> int:
     """Exact size of a partition family, by first-return recursion
     (_count_colored_nc12), without building any member."""
-    one, two, inf = [(BLUE,)] * n, [(BLUE, RED)] * n, math.inf
-    families = {  # family: (colors at each position, pairs only, k, l)
+    one, two, inf = (BLUE,), (BLUE, RED), math.inf
+    families = {  # family: (colors at a position, pairs only, k, l)
         "NC12": (one, False, inf, inf), "NC2": (one, True, inf, inf),
         "NC12^k": (one, False, k, k), "NC2^k": (one, True, k, k),
         "TCNC12": (two, False, inf, inf), "TCNC2": (two, True, inf, inf),
@@ -234,4 +245,6 @@ def count_family(family: str, n: int, k: Optional[int] = None, l: Optional[int] 
     unused = [name for name, bound in (("k", k), ("l", l)) if bound is not None and name not in family]
     if unused:
         raise ValueError(f"family {family} takes no depth bound {' and '.join(unused)}")
-    return _count_colored_nc12(n, *families[family])
+    colors, pairs_only, k, l = families[family]
+    _check_ints(n, k, l)
+    return _count_colored_nc12(n, [colors] * n, pairs_only, k, l)

@@ -180,6 +180,16 @@ def test_diagonal_algebra_contains():
     assert not alg.contains(np.ones((2, 2)))
 
 
+@pytest.mark.parametrize("kind", ["full", "diagonal"])
+def test_contains_judges_each_matrix_of_a_stack(kind):
+    alg = Algebra(kind, 2)
+    diagonal = np.array([np.diag([1e9, 1e9]), np.diag([1.0, 2.0])])
+    assert alg.contains(diagonal) and alg.contains(diagonal[None])
+    # the ones' off-diagonal entries are judged against the ones, not against the 1e9 beside them
+    assert alg.contains(np.array([np.diag([1e9, 1e9]), np.ones((2, 2))])) == (kind == "full")
+    assert not alg.contains(np.ones((2, 3, 3)))
+
+
 def test_linmap_json_roundtrip_kraus_and_dense():
     alg = Algebra("full", 2)
     phi = LinMap.from_kraus(alg, [rand_mat(), rand_mat()])

@@ -287,6 +287,14 @@ def test_element_of_another_algebra_is_usage_error(tmp_path, capsys, declared):
     assert "declares the algebra" in capsys.readouterr().err
 
 
+def test_convolve_of_laws_on_different_algebras_is_usage_error(tmp_path, capsys):
+    alg2 = Algebra("full", 2)
+    p1 = semicircular_file(tmp_path)
+    p2 = write_json(tmp_path, "p2.json", params_to_json(semicircular(alg2, LinMap.identity(alg2))))
+    assert main(["convolve", "--p1", p1, "--p2", p2, "--degree", "2"]) == 2
+    assert "share an algebra" in capsys.readouterr().err
+
+
 def test_convolve_negative_degree_is_usage_error(tmp_path, capsys):
     pf = semicircular_file(tmp_path)
     assert main(["convolve", "--p1", pf, "--p2", pf, "--degree", "-1"]) == 2

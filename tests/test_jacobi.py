@@ -715,6 +715,59 @@ def test_continued_fractions_reject_a_point_outside_the_algebra(expand, b, match
         expand(semicircular(ALGD, flip_map()), b)
 
 
+SEMI2 = semicircular(ALG2, LinMap.identity(ALG2))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: shift_by_delta(SEMI2, 1.0),
+        lambda: shift_by_delta(SEMI2, [1, 2]),
+        lambda: shift_by_delta(SEMI2, np.array([np.eye(2)] * 2)),
+        lambda: free_poisson(ALG2, np.eye(2), LinMap.identity(ALG2), mean=1.0),
+        lambda: two_point(ALG2, 0.5, np.diag([1.0, -1.0]), 1.0),
+        lambda: two_point(ALG2, 0.5, [1, 2], np.eye(2)),
+        lambda: point_mass(ALG2, 1.0),
+        lambda: point_mass(ALGD, OFF_DIAGONAL),
+    ],
+    ids=["shift_scalar", "shift_row", "shift_batch", "free_poisson_mean", "two_point_c", "two_point_a", "point_mass",
+         "point_mass_outside_B"],
+)
+def test_a_lone_element_that_is_no_element_of_the_algebra_is_refused(make):
+    # a scalar or a row would broadcast into every lambda: 1.0 would read as the all-ones matrix
+    with pytest.raises(ValueError, match="one 2 x 2 matrix, without a batch axis, and live in the algebra"):
+        make()
+
+
+def test_shift_by_delta_judges_the_shift_against_itself():
+    # lambda + shift is self-adjoint against lambda's 1e9; the shift alone is not, and a positive law refuses it
+    p = JacobiParams(ALG2, (), (), 1e9 * np.eye(2), LinMap.identity(ALG2), positive=True)
+    with pytest.raises(ValueError, match="shift must be self-adjoint"):
+        shift_by_delta(p, unit_matrix(2, 0, 1))
+    assert shift_by_delta(p, np.diag([1, 2])).positive
+
+
+def test_a_law_stores_its_lambdas_as_complex_arrays():
+    alpha, lams = LinMap.identity(ALG2), [[[1, 2], [2, 0]], [[0, 1], [1, 3]], [[2, 0], [0, -1]]]
+    from_complex = JacobiParams(ALG2, tuple(np.array(l, dtype=complex) for l in lams[:2]), (alpha,),
+                                np.array(lams[2], dtype=complex), alpha)
+    from_ints = JacobiParams(ALG2, tuple(np.array(l) for l in lams[:2]), (alpha,), np.array(lams[2]), alpha)
+    from_lists = JacobiParams(ALG2, lams[:2], (alpha,), lams[2], alpha)
+    local = np.random.default_rng(35)  # the module's stream stays as the other tests draw it
+    word = [local.normal(size=(2, 2)) + 1j * local.normal(size=(2, 2)) for _ in range(7)]
+    want = moment(from_complex, word).tobytes()
+    named = semicircular(ALG2, alpha, lams[2]), meixner(ALG2, np.array(lams[2]), alpha, alpha)
+    for p in (from_ints, from_lists, *named):
+        assert all(type(l) is np.ndarray and l.dtype == complex and l.shape == (2, 2)
+                   for l in (*p.head_lambda, p.tail_lambda))
+    assert moment(from_ints, word).tobytes() == want and moment(from_lists, word).tobytes() == want
+
+
+def test_params_reject_lambdas_that_are_not_numbers():
+    with pytest.raises(ValueError, match="lambda entries must live in the algebra"):
+        JacobiParams(ALG2, (), (), [["a", "b"], ["c", "d"]], LinMap.identity(ALG2))
+
+
 def test_free_binomial_word_moment_rejects_coefficients_outside_the_algebra():
     expectation = lambda m: np.diag(np.diag(m))
     with pytest.raises(ValueError, match="live in the algebra"):

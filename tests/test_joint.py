@@ -124,6 +124,24 @@ def test_colored_word_rejects_coefficient_outside_algebra():
         colored_word(algd, [np.eye(2), np.eye(3), np.eye(2)], [BLUE, RED])
 
 
+@pytest.mark.parametrize("kind", ["full", "diagonal"])
+def test_colored_word_refuses_a_batched_or_misshapen_coefficient(kind):
+    alg = Algebra(kind, 2)
+    for bad in (np.array([np.eye(2)] * 3), np.eye(2)[None], np.eye(3), 1.0, [1, 2]):
+        with pytest.raises(ValueError, match="live in the algebra"):
+            colored_word(alg, [np.eye(2), bad, np.eye(2)], [BLUE, RED])
+
+
+def test_colored_word_tests_its_coefficients_in_one_call(monkeypatch):
+    algd, calls = Algebra("diagonal", 2), []
+    contains = Algebra.contains
+    monkeypatch.setattr(Algebra, "contains", lambda alg, mat: calls.append(mat.shape) or contains(alg, mat))
+    w = colored_word(algd, [np.diag([1, k]) for k in range(9)], "br" * 4)
+    assert calls == [(9, 2, 2)]
+    assert w.colors == (BLUE, RED) * 4
+    assert all(c.dtype == complex for c in w.coeffs)
+
+
 def test_e_pi_interval_and_nested_summands():
     # word b0 X b1 X b2 Y b3 Y b4 with partition summands evaluated directly
     p1, p2 = rand_params(), rand_params()

@@ -10,6 +10,7 @@ import pytest
 
 from ncfree import joint
 from ncfree.algebra import Algebra, LinMap
+from ncfree.jacobi import phi_transform
 from ncfree.joint import JointModel
 from ncfree.partitions import BLUE
 
@@ -45,13 +46,27 @@ def red_as_blue_in_nc_sum(mp):
     mp.setattr(sweep, "nc_sum", lambda cs, colors, params: engine(cs, colors, dict.fromkeys(params, params[BLUE])))
 
 
+def depths_from_zero(mp):
+    """moment indexes the parameters from 0: depth k reads lambda_{k-1} and alpha_{k-1}, depth 1 the zero and
+    the identity.  (Reading each alpha through its transposed dense form would not do: on a diagonal algebra a
+    Kraus map's dense form is diagonal.)"""
+    engine = sweep.moment
+    mp.setattr(sweep, "moment", lambda p, cs: engine(phi_transform(p), cs))
+
+
+def red_as_blue_in_joint_moment(mp):
+    """joint_moment gives red the blue parameters."""
+    mp.setattr(sweep, "joint_moment", lambda m, w: joint.joint_moment(JointModel(m.params1, m.params1), w))
+
+
 def transposed_blocks(mp):
     """alpha, applied block by block to a point of M_m(B), reads block (j, i) into block (i, j)."""
     apply = LinMap.apply
     mp.setattr(LinMap, "apply", lambda m, b: apply(m, b.swapaxes(0, 1) if b.ndim == 4 else b))
 
 
-BROKEN = {"epi": depth_one, "colourings": red_as_blue, "meixner": red_as_blue, "free-fock": red_as_blue_in_nc_sum,
+BROKEN = {"fock": depths_from_zero, "freeness": red_as_blue_in_joint_moment, "epi": depth_one,
+          "colourings": red_as_blue, "meixner": red_as_blue, "free-fock": red_as_blue_in_nc_sum,
           "cf": transposed_blocks}
 
 

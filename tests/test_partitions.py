@@ -319,3 +319,30 @@ def test_enumerations_honour_the_degree_cap(enumerate_at, monkeypatch):
     enumerate_at(4)
     with pytest.raises(DegreeCapError, match="degree 5 exceeds cap 4"):
         enumerate_at(5)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: count_family("NC12^k", 8, 2.5), "k"),  # it counted as k = 3
+        (lambda: count_family("NC12^k", 8, True), "k"),  # it counted as k = 1
+        (lambda: count_family("TCNC2^{k,l}", 8, 2, 3.0), "l"),
+        (lambda: count_family("NC12", 8.0), "n"),  # it failed inside the list product
+        (lambda: count_family("NC12", False), "n"),
+        (lambda: list(enumerate_nc12(4.0)), "n"),
+        (lambda: list(enumerate_nc12(4, k=2.5)), "k"),
+        (lambda: list(enumerate_tcnc(4, l=True)), "l"),
+        (lambda: _count_colored_nc12(4, [(BLUE,)] * 4, False, 2.5), "k"),
+        (lambda: list(_colored_nc12(4, [(BLUE,)] * 4, False, math.inf, 1.5)), "l"),
+    ],
+    ids=["count_k_float", "count_k_bool", "count_l_float", "count_n_float", "count_n_bool", "nc12_n", "nc12_k",
+         "tcnc_l", "counter_k", "generator_l"],
+)
+def test_sizes_and_depth_bounds_must_be_integers(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        call()
+
+
+def test_integer_and_infinite_depth_bounds_still_count():
+    assert count_family("NC12^k", 8, 100) == _count_colored_nc12(8, [(BLUE,)] * 8, False, math.inf) == MOTZKIN[8]
+    assert sum(1 for _ in enumerate_tcnc(4, k=math.inf, l=float("inf"))) == count_family("TCNC12", 4)
